@@ -1,62 +1,39 @@
 """Desk-scale far-field simulator and benchmark harness for diode-tunable
 reflective surfaces: pattern synthesis by genetic search, comparison metrics,
-and control-circuit complexity/power accounting."""
+and control-circuit complexity/power accounting.
 
-from .benchmarks import (
-    BeamSpec,
-    BenchmarkPattern,
-    ideal_target_field,
-    load_benchmark,
-    reference_pattern,
-    reference_unit_cell,
-)
-from .control import (
-    ControlReport,
-    complexity_report,
-    max_power,
-    physical_paths,
-    power_per_area,
-    switching_rate,
-)
-from .field import (
-    FieldEvaluator,
-    FieldGrid,
-    GridSpec,
-    PrincipalCut,
-    SourceModel,
-    field_planewave,
-    field_point_source,
-    normalize_grid,
-    principal_cut,
-    radiation_factor,
-    read_field_csv,
-    steering_config,
-    write_field_csv,
-)
-from .ga import GAParams, GAResult, exhaustive_search, fitness, run_ga
-from .metrics import (
-    LobeRegion,
-    MetricsReport,
-    detect_lobes,
-    directivity_error,
-    directivity_over_region,
-    evaluate_all,
-    nmse,
-    side_lobe_ratio,
-)
-from .surface import (
-    ConfigMatrix,
-    GroupLayout,
-    ReflectionState,
-    SurfaceSpec,
-    UnitCellSpec,
-    build_surface,
-    expand_groups,
-    load_surface,
-    load_unit_cell,
-    near_field_boundary,
-    uniform_config,
-    validate_unit_cell,
-)
+The public names below resolve on first access (PEP 562), so importing the
+package, or ``risbench.cli``, does not load numpy.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "benchmarks": ("BeamSpec", "BenchmarkPattern", "ideal_target_field",
+                   "load_benchmark", "reference_pattern", "reference_unit_cell"),
+    "control": ("ControlReport", "complexity_report", "max_power", "physical_paths",
+                "power_per_area", "switching_rate"),
+    "field": ("FieldEvaluator", "FieldGrid", "GridSpec", "PrincipalCut", "SourceModel",
+              "field_planewave", "field_point_source", "normalize_grid", "principal_cut",
+              "radiation_factor", "read_field_csv", "steering_config", "write_field_csv"),
+    "ga": ("GAParams", "GAResult", "exhaustive_search", "fitness", "run_ga"),
+    "metrics": ("LobeRegion", "MetricsReport", "detect_lobes", "directivity_error",
+                "directivity_over_region", "evaluate_all", "nmse", "side_lobe_ratio"),
+    "surface": ("ConfigMatrix", "GroupLayout", "ReflectionState", "SurfaceSpec",
+                "UnitCellSpec", "build_surface", "expand_groups", "load_surface",
+                "load_unit_cell", "near_field_boundary", "uniform_config",
+                "validate_unit_cell"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    # Not cached in globals(): the lookup always returns the defining
+    # module's current binding.
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)

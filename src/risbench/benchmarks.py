@@ -10,6 +10,7 @@ target, so the reference patterns produced here are cached on disk.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -20,7 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigParseError, OverlappingLobes, UnknownBenchmark
+from . import __version__
+from .errors import (
+    ConfigParseError,
+    GridMismatch,
+    OverlappingLobes,
+    RisBenchError,
+    UnknownBenchmark,
+)
 from .field import (
     FieldGrid,
     GridSpec,
@@ -30,9 +38,13 @@ from .field import (
 )
 from .surface import (
     ConfigMatrix,
+    SurfaceSpec,
     UnitCellSpec,
     build_surface,
     load_unit_cell,
+    read_config_csv,
+    validate_config,
+    write_config_csv,
 )
 
 BUNDLED_BENCHMARK_IDS = ("B1", "B2", "B3", "B4", "B5", "B6", "B7", "B8")
@@ -160,12 +172,13 @@ def reference_unit_cell() -> UnitCellSpec:
     return load_unit_cell("S0")
 
 
-def _source_token(src: SourceModel) -> str:
-    return src.kind
-
-
-def _cache_hash(src: SourceModel, grid: GridSpec, ga_params) -> str:
+def _cache_hash(bm: BenchmarkPattern, cell: UnitCellSpec, src: SourceModel,
+                grid: GridSpec, ga_params) -> str:
+    """Digest of everything the cached reference depends on besides the seed."""
     doc = {
+        "beams": [dataclasses.astuple(b) for b in bm.beams],
+        "cell": dataclasses.asdict(cell),
+        "version": __version__,
         "src": [src.kind, src.amplitude, src.position_m, src.incidence_deg],
         "grid": [grid.theta_step_deg, grid.phi_step_deg],
         "ga": [
@@ -182,6 +195,14 @@ def default_cache_dir() -> Path:
     return Path(env) if env else Path("cache")
 
 
+def _read_reference(field_path: Path, config_path: Path, surface: SurfaceSpec,
+                    grid: GridSpec) -> tuple[FieldGrid, ConfigMatrix]:
+    gridval = read_field_csv(field_path, wavelength_m=surface.cell.wavelength_m)
+    if gridval.grid != grid:
+        raise GridMismatch(f"cached reference {field_path} is on {gridval.grid}")
+    return gridval, validate_config(surface, read_config_csv(config_path))
+
+
 def reference_pattern(
     bm: BenchmarkPattern,
     src: SourceModel,
@@ -194,9 +215,11 @@ def reference_pattern(
 
     Runs the genetic optimizer on the 40 x 40 reference surface, one control
     line per cell, against the benchmark's ideal target.  Results are cached
-    under ``cache/ref`` keyed by (benchmark, source kind, seed, parameter
-    hash); identical requests return byte-identical data because the first
-    call also round-trips through its own cache files.
+    under ``cache/ref`` keyed by (benchmark id, source kind, seed) plus a hash
+    of the beams, the reference cell, the tool version, the source, the grid
+    and the GA parameters; an entry that does not load is recomputed.
+    Identical requests return byte-identical data because the first call also
+    round-trips through its own cache files.
     """
     from .ga import GAParams, run_ga  # deferred: optimizer depends on metrics
 
@@ -206,37 +229,20 @@ def reference_pattern(
     elif ga_params.seed != seed:
         raise ConfigParseError("seed argument disagrees with ga_params.seed")
 
+    cell = reference_unit_cell()
+    surface, _ = build_surface(cell, REFERENCE_SIZE, REFERENCE_SIZE, 1)
     root = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     ref_dir = root / "ref"
-    stem = f"{bm.id}_{_source_token(src)}_{seed}_{_cache_hash(src, grid, ga_params)}"
+    stem = f"{bm.id}_{src.kind}_{seed}_{_cache_hash(bm, cell, src, grid, ga_params)}"
     field_path = ref_dir / f"{stem}.csv"
     config_path = ref_dir / f"{stem}.config.csv"
 
-    if not (field_path.is_file() and config_path.is_file()):
-        surface, _ = build_surface(reference_unit_cell(), REFERENCE_SIZE, REFERENCE_SIZE, 1)
-        target = ideal_target_field(bm, grid)
-        result = run_ga(surface, src, target, ga_params)
-        from .field import FieldEvaluator
-
-        achieved = FieldEvaluator(surface, src, grid).field(result.best_config)
-        ref_dir.mkdir(parents=True, exist_ok=True)
-        _atomic_write_field(achieved, field_path)
-        _atomic_write_config(result.best_config, config_path)
-
-    wavelength = reference_unit_cell().wavelength_m
-    gridval = read_field_csv(field_path, wavelength_m=wavelength)
-    config = ConfigMatrix(states=np.loadtxt(config_path, delimiter=",",
-                                            dtype=np.int64, ndmin=2))
-    return gridval, config
-
-
-def _atomic_write_field(gridval: FieldGrid, path: Path) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    write_field_csv(gridval, tmp)
-    os.replace(tmp, path)
-
-
-def _atomic_write_config(config: ConfigMatrix, path: Path) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    np.savetxt(tmp, config.states, fmt="%d", delimiter=",")
-    os.replace(tmp, path)
+    try:
+        return _read_reference(field_path, config_path, surface, grid)
+    except RisBenchError:  # missing or unreadable entry: a cache miss
+        pass
+    result = run_ga(surface, src, ideal_target_field(bm, grid), ga_params)
+    ref_dir.mkdir(parents=True, exist_ok=True)
+    write_field_csv(result.best_field, field_path)
+    write_config_csv(result.best_config, config_path)
+    return _read_reference(field_path, config_path, surface, grid)

@@ -6,6 +6,9 @@ data only (CSV and pixmap), rendering is left to external tools.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric or domain error,
 4 I/O error.
+
+Nothing here imports numpy at module level: ``main`` sets the BLAS thread
+variables from ``--threads`` before a handler's first import loads it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import sys
 import time
 from pathlib import Path
 
-TOOL_VERSION = "0.1.0"
+from . import __version__ as TOOL_VERSION
 
 CONFIG_KEYS = {
     "surface_ref", "rows", "cols", "group_size", "pitch_mm", "benchmark_ref",
@@ -141,21 +144,14 @@ def _output_dir(doc: dict, out_flag: str | None) -> Path:
     return out
 
 
-def write_config_csv(config, path: Path) -> None:
-    import numpy as np
+def __getattr__(name: str):
+    # The config-CSV codec lives in surface; it is re-exported here on first
+    # access so that importing this module does not load numpy.
+    if name in ("read_config_csv", "write_config_csv"):
+        from . import surface
 
-    np.savetxt(path, config.states, fmt="%d", delimiter=",")
-
-
-def read_config_csv(path: Path):
-    import numpy as np
-
-    from .errors import ConfigParseError
-    from .surface import ConfigMatrix
-
-    if not Path(path).is_file():
-        raise ConfigParseError(f"config CSV not found: {path}")
-    return ConfigMatrix(states=np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2))
+        return getattr(surface, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def write_config_ppm(config, path: Path) -> None:
@@ -188,16 +184,9 @@ def _run_record(doc, seed, metrics, report, artifacts, wall_s) -> dict:
     }
 
 
-def _reference_for(doc, bm, src, ga, grid):
-    from .benchmarks import reference_pattern
-
-    ref_grid, _ = reference_pattern(bm, src, ga.seed, ga_params=ga, grid=grid)
-    return ref_grid
-
-
 def cmd_simulate(args) -> int:
     from .field import FieldEvaluator, steering_config, write_field_csv
-    from .surface import uniform_config
+    from .surface import read_config_csv, uniform_config
 
     doc = _load_run_config(args.config)
     surface, _ = _resolve_surface(doc)
@@ -222,11 +211,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    from .benchmarks import ideal_target_field, load_benchmark
+    from .benchmarks import ideal_target_field, load_benchmark, reference_pattern
     from .control import complexity_report
-    from .field import FieldEvaluator, write_field_csv
+    from .field import write_field_csv
     from .ga import run_ga
     from .metrics import evaluate_all
+    from .surface import write_config_csv
 
     t0 = time.perf_counter()
     doc = _load_run_config(args.config)
@@ -239,7 +229,6 @@ def cmd_optimize(args) -> int:
 
     target = ideal_target_field(bm, grid)
     result = run_ga(surface, src, target, ga)
-    achieved = FieldEvaluator(surface, src, grid).field(result.best_config)
 
     config_csv = out / "best_config.csv"
     history_csv = out / "history.csv"
@@ -251,10 +240,10 @@ def cmd_optimize(args) -> int:
         fh.write("generation,best_fitness\n")
         for g, f in enumerate(result.history, start=1):
             fh.write(f"{g},{f:.9g}\n")
-    write_field_csv(achieved, pattern_csv)
+    write_field_csv(result.best_field, pattern_csv)
 
-    reference = _reference_for(doc, bm, src, ga, grid)
-    metrics = evaluate_all(reference, achieved, bm)
+    reference, _ = reference_pattern(bm, src, ga.seed, ga_params=ga, grid=grid)
+    metrics = evaluate_all(reference, result.best_field, bm)
     ctl = _resolve_control(doc)
     report = complexity_report(surface, **ctl)
     record = _run_record(
@@ -271,7 +260,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from .benchmarks import load_benchmark
+    from .benchmarks import load_benchmark, reference_pattern
     from .field import read_field_csv
     from .metrics import evaluate_all
 
@@ -285,7 +274,7 @@ def cmd_evaluate(args) -> int:
     if args.reference:
         reference = read_field_csv(args.reference)
     else:
-        reference = _reference_for(doc, bm, src, ga, grid)
+        reference, _ = reference_pattern(bm, src, ga.seed, ga_params=ga, grid=grid)
     metrics = evaluate_all(reference, achieved, bm)
     text = json.dumps(metrics.to_dict(), indent=2)
     print(text)
@@ -296,12 +285,12 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep_grouping(args) -> int:
-    from .benchmarks import ideal_target_field, load_benchmark
+    from .benchmarks import ideal_target_field, load_benchmark, reference_pattern
     from .control import physical_paths, switching_rate
-    from .field import FieldEvaluator, write_field_csv
+    from .field import write_field_csv
     from .ga import run_ga
     from .metrics import evaluate_all
-    from .surface import build_surface
+    from .surface import build_surface, write_config_csv
 
     doc = _load_run_config(args.config)
     surface, _ = _resolve_surface(doc)
@@ -314,19 +303,18 @@ def cmd_sweep_grouping(args) -> int:
     groups = [int(g) for g in args.groups.split(",")]
 
     target = ideal_target_field(bm, grid)
-    reference = _reference_for(doc, bm, src, ga, grid)
+    reference, _ = reference_pattern(bm, src, ga.seed, ga_params=ga, grid=grid)
 
     rows = []
     for g in groups:
         surf_g, _ = build_surface(surface.cell, surface.rows_m, surface.cols_n,
                                   g, surface.pitch_m)
         result = run_ga(surf_g, src, target, ga)
-        achieved = FieldEvaluator(surf_g, src, grid).field(result.best_config)
-        metrics = evaluate_all(reference, achieved, bm)
+        metrics = evaluate_all(reference, result.best_field, bm)
         gdir = out / f"g{g}"
         gdir.mkdir(exist_ok=True)
         write_config_csv(result.best_config, gdir / "best_config.csv")
-        write_field_csv(achieved, gdir / "achieved_pattern.csv")
+        write_field_csv(result.best_field, gdir / "achieved_pattern.csv")
         rows.append((
             g, metrics.de, metrics.nmse, metrics.slr_db,
             physical_paths(surf_g.rows_m, surf_g.cols_n, surf_g.cell.n_bits, g),

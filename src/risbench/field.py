@@ -16,6 +16,7 @@ evaluations are reproducible bit for bit within one build.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from .errors import (
     AllZeroField,
     ConfigMismatch,
     DomainError,
+    GridMismatch,
     GridMissingPlane,
     IoError,
     NonPositiveParam,
@@ -88,8 +90,12 @@ class GridSpec:
         return np.arange(round(360.0 / self.phi_step_deg)) * self.phi_step_deg
 
     @property
+    def shape(self) -> tuple[int, int]:
+        return round(180.0 / self.theta_step_deg), round(360.0 / self.phi_step_deg)
+
+    @property
     def n_points(self) -> int:
-        return round(180.0 / self.theta_step_deg) * round(360.0 / self.phi_step_deg)
+        return math.prod(self.shape)
 
 
 @dataclass(frozen=True)
@@ -102,6 +108,10 @@ class FieldGrid:
 
     def __post_init__(self):
         self.values.setflags(write=False)
+        if self.values.shape != self.grid.shape:
+            raise GridMismatch(
+                f"field values {self.values.shape} do not fill grid {self.grid.shape}"
+            )
         if not np.all(np.isfinite(self.values)):
             raise DomainError("field contains non-finite values")
 
@@ -139,9 +149,10 @@ def state_coefficients(surface: SurfaceSpec) -> np.ndarray:
 class FieldEvaluator:
     """Reusable far-field evaluator for one (surface, source, grid) triple.
 
-    ``field(config)`` is a pure function of the configuration; everything
-    that does not depend on the configuration (steering-phase tables, the
-    source factor per cell, the theta envelope) is precomputed once.
+    ``front(states)`` is the one array-factor kernel; ``field(config)`` and
+    the GA objective both call it.  Everything that does not depend on the
+    configuration (steering-phase tables, the source factor per cell, the
+    theta envelope) is precomputed once.
     """
 
     def __init__(self, surface: SurfaceSpec, src: SourceModel, grid: GridSpec):
@@ -153,11 +164,9 @@ class FieldEvaluator:
 
         theta = np.radians(grid.theta_deg())
         phi = np.radians(grid.phi_deg())
-        self._n_theta = theta.size
-        self._n_phi = phi.size
         front = grid.theta_deg() <= 90.0
-        self._n_front = int(front.sum())
         th = theta[front]
+        self.front_size = th.size * phi.size  # leading rows of the flat grid
 
         # Direction cosines of every front-hemisphere grid point, flattened
         # theta-major to match the serialized row order.
@@ -191,20 +200,28 @@ class FieldEvaluator:
             self._cell_factor = (src.amplitude / r) * np.exp(-1j * k * r) * f_inc
             env = radiation_factor(q, th)
 
-        env_flat = np.repeat(env, self._n_phi)
+        env_flat = np.repeat(env, phi.size)
         self._steer_y_env = np.exp(1j * k * y[:, None] * v[None, :]) * env_flat[None, :]
         self._state_coeffs = state_coefficients(surface)
+
+    def front(self, states: np.ndarray) -> np.ndarray:
+        """Complex field over the front hemisphere, flattened theta-major.
+
+        ``states`` is an (M, N) array of valid state indices; it is not
+        checked here, so callers validate untrusted input first.
+        """
+        weights = self._state_coeffs[states] * self._cell_factor
+        partial = weights @ self._steer_x          # (M, Lf), sums over n
+        partial *= self._steer_y_env
+        return np.add.reduce(partial, axis=0)      # sums over m
 
     def field(self, config: ConfigMatrix) -> FieldGrid:
         """Complex far-field of one configuration."""
         validate_config(self.surface, config)
-        weights = self._state_coeffs[config.states] * self._cell_factor
-        partial = weights @ self._steer_x          # (M, Lf), sums over n
-        partial *= self._steer_y_env
-        front = np.add.reduce(partial, axis=0)     # sums over m
-        values = np.zeros((self._n_theta, self._n_phi), dtype=complex)
-        values[: self._n_front] = front.reshape(self._n_front, self._n_phi)
-        return FieldGrid(values=values, grid=self.grid, wavelength_m=self.wavelength_m)
+        values = np.zeros(self.grid.n_points, dtype=complex)
+        values[: self.front_size] = self.front(config.states)
+        return FieldGrid(values=values.reshape(self.grid.shape), grid=self.grid,
+                         wavelength_m=self.wavelength_m)
 
 
 def field_planewave(surface: SurfaceSpec, config: ConfigMatrix, src: SourceModel,
@@ -275,7 +292,8 @@ def steering_config(surface: SurfaceSpec, theta_deg: float, phi_deg: float = 0.0
 # -- CSV serialization ---------------------------------------------------------
 #
 # Header `theta_deg,phi_deg,re,im,mag`, one row per grid point, theta-major,
-# 9 significant digits.
+# 9 significant digits.  Rows must cover the full grid, theta from 0 up to
+# 180 and phi from 0 up to 360 at even steps.
 
 FIELD_CSV_HEADER = "theta_deg,phi_deg,re,im,mag"
 
@@ -288,9 +306,11 @@ def write_field_csv(gridval: FieldGrid, path: str | Path) -> None:
     pp = np.tile(phi, theta.size)
     flat = gridval.values.ravel()
     table = np.column_stack([tt, pp, flat.real, flat.imag, np.abs(flat)])
+    tmp = path.with_name(path.name + ".tmp")  # readers never see a partial file
     try:
-        np.savetxt(path, table, fmt="%.9g,%.9g,%.9g,%.9g,%.9g",
+        np.savetxt(tmp, table, fmt="%.9g,%.9g,%.9g,%.9g,%.9g",
                    header=FIELD_CSV_HEADER, comments="")
+        os.replace(tmp, path)
     except OSError as exc:
         raise IoError(f"cannot write field CSV {path}: {exc}") from exc
 
@@ -309,9 +329,11 @@ def read_field_csv(path: str | Path, wavelength_m: float = math.nan) -> FieldGri
     phi = np.unique(raw[:, 1])
     if theta.size * phi.size != raw.shape[0]:
         raise IoError(f"field CSV {path} is not a complete theta x phi grid")
-    t_step = float(theta[1] - theta[0]) if theta.size > 1 else 1.0
-    p_step = float(phi[1] - phi[0]) if phi.size > 1 else 1.0
-    grid = GridSpec(theta_step_deg=t_step, phi_step_deg=p_step)
+    grid = GridSpec(theta_step_deg=180.0 / theta.size, phi_step_deg=360.0 / phi.size)
+    if not (np.allclose(theta, grid.theta_deg(), rtol=0.0, atol=1e-6)
+            and np.allclose(phi, grid.phi_deg(), rtol=0.0, atol=1e-6)):
+        raise IoError(f"field CSV {path} does not cover theta 0..180 and phi 0..360 "
+                      "at even steps")
     order = np.lexsort((raw[:, 1], raw[:, 0]))
     values = (raw[order, 2] + 1j * raw[order, 3]).reshape(theta.size, phi.size)
     return FieldGrid(values=values, grid=grid, wavelength_m=wavelength_m)

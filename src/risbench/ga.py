@@ -9,6 +9,7 @@ seeded generator consumed in a fixed order, so a seed pins the entire run.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,7 @@ class GAParams:
 @dataclass(frozen=True)
 class GAResult:
     best_config: ConfigMatrix
+    best_field: FieldGrid       # far field of best_config on the target's grid
     best_fitness: float
     history: tuple[float, ...]  # best fitness after each generation, non-decreasing
     evaluations: int            # distinct field evaluations performed
@@ -59,42 +61,29 @@ class GAResult:
 class _Objective:
     """Fitness of a group-state chromosome, memoized by chromosome bytes.
 
-    The hot path reproduces ``-nmse(target, evaluator.field(config))`` bit for
-    bit while skipping per-call FieldGrid construction: the back hemisphere of
-    both fields is identically zero, so its difference terms are written once
-    as zeros and the mean runs over the same full-length array in the same
-    order as the public metric.
+    Equals ``-nmse(target, evaluator.field(config))`` bit for bit: it runs the
+    evaluator's ``front`` kernel and skips only the FieldGrid construction.
+    The back hemisphere of both fields is identically zero, so its difference
+    terms are written once as zeros and the mean runs over the same
+    full-length array in the same order as the public metric.
     """
 
     def __init__(self, surface: SurfaceSpec, src: SourceModel, target: FieldGrid):
-        self.surface = surface
         self.layout = group_layout(surface.rows_m, surface.cols_n, surface.group_size)
         self.n_states = surface.cell.n_states
         self.evaluator = FieldEvaluator(surface, src, target.grid)
-        self.target = target
         self.evaluations = 0
         self._memo: dict[bytes, float] = {}
 
-        ev = self.evaluator
         t_mags = target.magnitude()
         t_peak = float(t_mags.max())
         if t_peak == 0.0:
             raise NonPositiveParam("target field is identically zero")
-        self._flat_assignment = self.layout.assignment.ravel()
-        self._n_front_flat = ev._n_front * ev._n_phi
-        self._t_norm_flat = (t_mags / t_peak).ravel()
-        if np.any(self._t_norm_flat[self._n_front_flat:] != 0.0):
+        t_norm = (t_mags / t_peak).ravel()
+        if np.any(t_norm[self.evaluator.front_size:] != 0.0):
             raise NonPositiveParam("target carries power in the back hemisphere")
-        self._diff = self._t_norm_flat.copy()  # back entries stay t_norm - 0 = 0
-        # scratch buffers; a fresh 21 MB allocation per call costs more than
-        # the reduction itself
-        self._partial = np.empty((surface.rows_m, self._n_front_flat), dtype=complex)
-        self._front = np.empty(self._n_front_flat, dtype=complex)
-        self._weights = np.empty((surface.rows_m, surface.cols_n), dtype=complex)
-
-    @property
-    def n_genes(self) -> int:
-        return self.layout.n_groups
+        self._diff = t_norm.copy()  # back entries stay t_norm - 0 = 0
+        self._t_norm_front = t_norm[: self.evaluator.front_size]
 
     def config_of(self, chromosome: np.ndarray) -> ConfigMatrix:
         return expand_groups(chromosome, self.layout, self.n_states)
@@ -104,19 +93,11 @@ class _Objective:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        ev = self.evaluator
-        states = chromosome[self._flat_assignment].reshape(self.surface.rows_m,
-                                                           self.surface.cols_n)
-        np.multiply(ev._state_coeffs[states], ev._cell_factor, out=self._weights)
-        np.matmul(self._weights, ev._steer_x, out=self._partial)
-        np.multiply(self._partial, ev._steer_y_env, out=self._partial)
-        front = np.add.reduce(self._partial, axis=0, out=self._front)
-        mags = np.abs(front)
+        mags = np.abs(self.evaluator.front(chromosome[self.layout.assignment]))
         peak = float(mags.max())
         if peak == 0.0:
             raise AllZeroField("achieved field is identically zero")
-        n = self._n_front_flat
-        np.subtract(self._t_norm_flat[:n], mags / peak, out=self._diff[:n])
+        np.subtract(self._t_norm_front, mags / peak, out=self._diff[: mags.size])
         value = -float(np.mean(self._diff * self._diff))
         self.evaluations += 1
         self._memo[key] = value
@@ -135,7 +116,7 @@ def run_ga(surface: SurfaceSpec, src: SourceModel, target: FieldGrid,
     """Tournament-selection GA with uniform crossover and elitism."""
     params = params or GAParams()
     objective = _Objective(surface, src, target)
-    n_genes = objective.n_genes
+    n_genes = objective.layout.n_groups
     n_states = objective.n_states
     p_mut = (params.mutation_prob_per_gene
              if params.mutation_prob_per_gene is not None else 1.0 / n_genes)
@@ -174,8 +155,10 @@ def run_ga(surface: SurfaceSpec, src: SourceModel, target: FieldGrid,
         history.append(float(fits.max()))
 
     best = int(np.argmax(fits))
+    best_config = objective.config_of(pop[best])
     return GAResult(
-        best_config=objective.config_of(pop[best]),
+        best_config=best_config,
+        best_field=objective.evaluator.field(best_config),
         best_fitness=float(fits[best]),
         history=tuple(history),
         evaluations=objective.evaluations,
@@ -189,25 +172,20 @@ def exhaustive_search(surface: SurfaceSpec, src: SourceModel,
                       target: FieldGrid) -> tuple[ConfigMatrix, float]:
     """Enumerate every group-state assignment; ties keep the lexicographically
     lowest chromosome."""
-    layout = group_layout(surface.rows_m, surface.cols_n, surface.group_size)
     n_states = surface.cell.n_states
-    total = n_states ** layout.n_groups
+    total = n_states ** surface.n_groups
     if total > EXHAUSTIVE_GUARD:
         raise SearchSpaceTooLarge(
-            f"{n_states}^{layout.n_groups} = {total} configurations exceed "
+            f"{n_states}^{surface.n_groups} = {total} configurations exceed "
             f"the {EXHAUSTIVE_GUARD} guard"
         )
     objective = _Objective(surface, src, target)
     best_chromo = None
     best_fit = -np.inf
-    chromo = np.zeros(layout.n_groups, dtype=np.int64)
-    for flat in range(total):
-        value = flat
-        for g in range(layout.n_groups - 1, -1, -1):
-            chromo[g] = value % n_states
-            value //= n_states
+    for genes in itertools.product(range(n_states), repeat=surface.n_groups):
+        chromo = np.array(genes, dtype=np.int64)
         fit = objective(chromo)
         if fit > best_fit:
             best_fit = fit
-            best_chromo = chromo.copy()
+            best_chromo = chromo
     return objective.config_of(best_chromo), float(best_fit)

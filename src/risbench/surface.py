@@ -10,6 +10,7 @@ cells share one state.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -24,6 +25,7 @@ from .errors import (
     InvalidGamma,
     InvalidStateCount,
     InvalidStateIndex,
+    IoError,
     LengthMismatch,
     NonPositiveParam,
 )
@@ -248,6 +250,30 @@ def uniform_config(surface: SurfaceSpec, state: int = 0) -> ConfigMatrix:
     return ConfigMatrix(
         states=np.full((surface.rows_m, surface.cols_n), state, dtype=np.int64)
     )
+
+
+# -- config CSV ----------------------------------------------------------------
+#
+# One line per surface row, comma-separated integer state indices, no header.
+
+def write_config_csv(config: ConfigMatrix, path: str | Path) -> None:
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")  # readers never see a partial file
+    try:
+        np.savetxt(tmp, config.states, fmt="%d", delimiter=",")
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise IoError(f"cannot write config CSV {path}: {exc}") from exc
+
+
+def read_config_csv(path: str | Path) -> ConfigMatrix:
+    """Parse a config CSV; shape and index range are checked against a
+    surface by ``validate_config``, not here."""
+    try:
+        states = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigParseError(f"cannot read config CSV {path}: {exc}") from exc
+    return ConfigMatrix(states=states)
 
 
 def near_field_boundary(aperture_diameter_m: float, wavelength_m: float) -> float:

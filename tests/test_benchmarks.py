@@ -174,3 +174,33 @@ class TestReferencePattern:
         bm = load_benchmark("B3")
         _, cfg = reference_pattern(bm, PW, seed=7, ga_params=TINY_GA, cache_dir=tmp_path)
         assert cfg.states.shape == (40, 40)
+
+    def test_same_id_different_beams_cached_separately(self, tmp_path):
+        beams = ({"theta_deg": 20.0, "amplitude": 1.0, "start_deg": 14.0, "end_deg": 26.0},
+                 {"theta_deg": -40.0, "amplitude": 1.0, "start_deg": -46.0, "end_deg": -34.0})
+        for i, beam in enumerate(beams):
+            path = tmp_path / f"bx{i}.json"
+            path.write_text(json.dumps({"id": "BX", "beams": [beam]}))
+            bm = load_benchmark(path)
+            shared, _ = reference_pattern(bm, PW, seed=7, ga_params=TINY_GA,
+                                          cache_dir=tmp_path / "shared")
+            alone, _ = reference_pattern(bm, PW, seed=7, ga_params=TINY_GA,
+                                         cache_dir=tmp_path / f"alone{i}")
+            assert np.array_equal(shared.values, alone.values)
+        assert len(list((tmp_path / "shared" / "ref").iterdir())) == 4
+
+    @pytest.mark.parametrize("corrupt", ["config", "field"])
+    def test_unreadable_entry_is_recomputed(self, tmp_path, corrupt):
+        bm = load_benchmark("B1")
+        f1, c1 = reference_pattern(bm, PW, seed=7, ga_params=TINY_GA, cache_dir=tmp_path)
+        config_path = next((tmp_path / "ref").glob("*.config.csv"))
+        field_path = config_path.with_name(config_path.name.replace(".config.csv", ".csv"))
+        path = config_path if corrupt == "config" else field_path
+        intact = path.read_bytes()
+        # a config cell that is not an integer; a field file with one grid point
+        path.write_text("0,a\n" if corrupt == "config"
+                        else "theta_deg,phi_deg,re,im,mag\n0,0,1,0,1\n")
+        f2, c2 = reference_pattern(bm, PW, seed=7, ga_params=TINY_GA, cache_dir=tmp_path)
+        assert np.array_equal(f1.values, f2.values)
+        assert np.array_equal(c1.states, c2.states)
+        assert path.read_bytes() == intact

@@ -1,11 +1,28 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import risbench
 from risbench.cli import main, write_config_ppm
 from risbench.surface import ConfigMatrix
+
+SRC_DIR = str(Path(risbench.__file__).resolve().parent.parent)
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def fresh_process(args, **env):
+    """Run ``python args...`` on this source tree with no BLAS thread limit set."""
+    base = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args], env={**base, **env},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 @pytest.fixture()
@@ -71,6 +88,14 @@ class TestSimulate:
         cfg_path.write_text(json.dumps(doc))
         assert main(["simulate", "--config", str(cfg_path)]) == 2
 
+    def test_malformed_config_ref_is_config_error(self, run_config):
+        cfg_path, tmp = run_config
+        (tmp / "cfg.csv").write_text("0,1,0,1,0,1\n" * 5 + "a,1,0,1,0,1\n")
+        doc = json.loads(cfg_path.read_text())
+        doc["config_ref"] = str(tmp / "cfg.csv")
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(cfg_path)]) == 2
+
     def test_uncreatable_output_dir_is_io_error(self, run_config):
         cfg_path, tmp = run_config
         blocker = tmp / "blocker"
@@ -116,6 +141,20 @@ class TestOptimize:
         record = json.loads((tmp / "out" / "run_record.json").read_text())
         assert record["seed"] == 77
 
+    def test_thread_count_leaves_artifacts_unchanged(self, run_config):
+        cfg_path, tmp = run_config
+        outs = {}
+        for threads in (1, 2):
+            out = tmp / f"t{threads}"
+            stdout = fresh_process(
+                ["-m", "risbench.cli", "--threads", str(threads), "optimize",
+                 "--config", str(cfg_path), "--out", str(out)],
+                RISBENCH_CACHE_DIR=str(out / "cache"))
+            outs[threads] = [stdout] + [(out / name).read_bytes() for name in
+                                        ("best_config.csv", "history.csv",
+                                         "achieved_pattern.csv")]
+        assert outs[1] == outs[2]
+
 
 class TestEvaluate:
     def test_self_evaluation_is_zero(self, run_config, capsys):
@@ -143,6 +182,18 @@ class TestEvaluate:
         code = main(["evaluate", "--config", str(cfg_path),
                      "--achieved", achieved, "--reference", str(coarse)])
         assert code == 3
+
+    def test_partial_grid_is_io_error(self, run_config, tmp_path):
+        cfg_path, tmp = run_config
+        partial = tmp_path / "partial.csv"
+        lines = ["theta_deg,phi_deg,re,im,mag"]
+        for t in range(0, 90, 2):  # front hemisphere only
+            for p in range(0, 360, 2):
+                lines.append(f"{t},{p},1,0,1")
+        partial.write_text("\n".join(lines) + "\n")
+        code = main(["evaluate", "--config", str(cfg_path),
+                     "--achieved", str(partial), "--reference", str(partial)])
+        assert code == 4
 
     def test_benchmark_reference_uses_cache(self, run_config, capsys):
         cfg_path, tmp = run_config
@@ -186,6 +237,13 @@ class TestConfigCsv:
         write_config_csv(cfg, path)
         back = read_config_csv(path)
         assert np.array_equal(back.states, cfg.states)
+
+
+class TestImport:
+    def test_cli_import_leaves_numpy_unloaded(self):
+        # --threads only takes effect if numpy's BLAS loads after main() runs.
+        out = fresh_process(["-c", "import sys, risbench.cli; print('numpy' in sys.modules)"])
+        assert out.strip() == "False"
 
 
 class TestTable1:

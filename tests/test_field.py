@@ -6,7 +6,9 @@ import pytest
 from risbench.errors import (
     AllZeroField,
     ConfigMismatch,
+    GridMismatch,
     GridMissingPlane,
+    IoError,
     SourceBelowSurface,
 )
 from risbench.field import (
@@ -66,6 +68,10 @@ class TestGridSpec:
     def test_step_must_divide_span(self):
         with pytest.raises(ConfigMismatch):
             GridSpec(theta_step_deg=7.0)
+
+    def test_field_values_must_fill_the_grid(self):
+        with pytest.raises(GridMismatch):
+            FieldGrid(values=np.zeros((90, 360), dtype=complex), grid=GridSpec())
 
 
 class TestPlanewave:
@@ -274,3 +280,15 @@ class TestFieldCsv:
         path = tmp_path / "pattern.csv"
         write_field_csv(fg, path)
         assert len(path.read_text().splitlines()) == 180 * 360 + 1
+
+    @pytest.mark.parametrize("thetas, phis", [
+        (range(0, 90, 2), range(0, 360, 2)),     # theta 0..88: half the grid
+        (range(1, 180, 2), range(0, 360, 2)),    # theta axis does not start at 0
+        (range(0, 180, 2), [*range(0, 180, 2), *range(180, 360, 4)]),  # uneven phi
+    ])
+    def test_partial_or_uneven_grid_rejected(self, tmp_path, thetas, phis):
+        path = tmp_path / "partial.csv"
+        rows = [f"{t},{p},0,0,0" for t in thetas for p in phis]
+        path.write_text("\n".join(["theta_deg,phi_deg,re,im,mag", *rows]) + "\n")
+        with pytest.raises(IoError):
+            read_field_csv(path)

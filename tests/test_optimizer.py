@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from risbench.benchmarks import ideal_target_field, load_benchmark
 from risbench.errors import NonPositiveParam, SearchSpaceTooLarge
-from risbench.field import SourceModel, field_planewave, normalize_grid
-from risbench.ga import GAParams, exhaustive_search, fitness, run_ga
+from risbench.field import GridSpec, SourceModel, field_planewave, normalize_grid
+from risbench.ga import GAParams, _Objective, exhaustive_search, fitness, run_ga
 from risbench.surface import (
     ConfigMatrix,
     ReflectionState,
@@ -70,6 +71,19 @@ class TestFitness:
         f2 = fitness(flipped, target, surf, PW)
         assert np.isclose(f1, f2, atol=1e-12)
 
+    @pytest.mark.parametrize("group_size", [1, 2])
+    @pytest.mark.parametrize("src", [SourceModel.point((0.01, -0.02, 0.3)),
+                                     SourceModel.planewave(1.0, 10.0, 30.0)],
+                             ids=["point", "planewave"])
+    def test_objective_equals_public_fitness_exactly(self, src, group_size):
+        surf, _ = build_surface(load_unit_cell("S3"), 8, 8, group_size)
+        target = ideal_target_field(load_benchmark("B8"), GridSpec(2.0, 2.0))
+        objective = _Objective(surf, src, target)
+        rng = np.random.default_rng(group_size)
+        for _ in range(4):
+            chromo = rng.integers(0, surf.cell.n_states, size=surf.n_groups)
+            assert objective(chromo) == fitness(objective.config_of(chromo), target, surf, src)
+
 
 class TestRunGa:
     def test_same_seed_same_result(self):
@@ -82,6 +96,13 @@ class TestRunGa:
         assert r1.best_fitness == r2.best_fitness
         assert r1.history == r2.history
         assert r1.evaluations == r2.evaluations
+
+    def test_best_field_is_the_best_config_rendered(self):
+        surf, _ = build_surface(one_bit_cell(), 2, 3)
+        target = reachable_target(surf, [[0, 1, 0], [1, 0, 1]])
+        res = run_ga(surf, PW, target, GAParams(population=10, generations=4, seed=1))
+        rendered = field_planewave(surf, res.best_config, PW, target.grid)
+        assert np.array_equal(res.best_field.values, rendered.values)
 
     def test_history_monotone_and_sized(self):
         surf, _ = build_surface(one_bit_cell(), 2, 3)
