@@ -15,8 +15,8 @@ import hashlib
 import json
 import math
 import os
+import re
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +43,7 @@ from .surface import (
     build_surface,
     load_unit_cell,
     read_config_csv,
+    read_json_document,
     validate_config,
     write_config_csv,
 )
@@ -81,6 +82,9 @@ class BenchmarkPattern:
     beams: tuple[BeamSpec, ...]
 
     def __post_init__(self):
+        if not re.fullmatch(r"[A-Za-z0-9_-]+", self.id):
+            # the id names reference-cache files, so it must stay one plain name
+            raise ConfigParseError(f"benchmark id {self.id!r} must match [A-Za-z0-9_-]+")
         if not self.beams:
             raise ConfigParseError(f"benchmark {self.id} has no beams")
         spans = sorted((b.lobe_start_deg, b.lobe_end_deg) for b in self.beams)
@@ -91,7 +95,10 @@ class BenchmarkPattern:
                 )
 
 
-def _pattern_from_dict(doc: dict, origin: str) -> BenchmarkPattern:
+def load_benchmark(id_or_path: str | Path) -> BenchmarkPattern:
+    """Load a bundled pattern (B1..B8) or a custom JSON file."""
+    doc = read_json_document(id_or_path, "benchmark", ("benchmarks", BUNDLED_BENCHMARK_IDS),
+                             missing=UnknownBenchmark)
     try:
         beams = tuple(
             BeamSpec(
@@ -104,20 +111,7 @@ def _pattern_from_dict(doc: dict, origin: str) -> BenchmarkPattern:
         )
         return BenchmarkPattern(id=str(doc["id"]), beams=beams)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigParseError(f"malformed benchmark document {origin}: {exc}") from exc
-
-
-def load_benchmark(id_or_path: str | Path) -> BenchmarkPattern:
-    """Load a bundled pattern (B1..B8) or a custom JSON file."""
-    ref = str(id_or_path)
-    if ref.upper() in BUNDLED_BENCHMARK_IDS:
-        text = resources.files("risbench").joinpath(
-            "data", "benchmarks", f"{ref.lower()}.json").read_text()
-        return _pattern_from_dict(json.loads(text), ref)
-    path = Path(id_or_path)
-    if not path.is_file():
-        raise UnknownBenchmark(f"{ref!r} is not a bundled benchmark id or a readable file")
-    return _pattern_from_dict(json.loads(path.read_text()), str(path))
+        raise ConfigParseError(f"malformed benchmark document {id_or_path}: {exc}") from exc
 
 
 DEFAULT_TARGET_PHI_BAND_DEG = 5.0

@@ -22,121 +22,106 @@ from pathlib import Path
 
 from . import __version__ as TOOL_VERSION
 
-CONFIG_KEYS = {
-    "surface_ref", "rows", "cols", "group_size", "pitch_mm", "benchmark_ref",
-    "source", "grid", "ga", "control", "config_ref", "steer_deg", "output_dir",
-}
-
 # Fig-style state palette: states 1..4 are blue, cyan, yellow, red.
 STATE_PALETTE = ((0, 0, 255), (0, 255, 255), (255, 255, 0), (255, 0, 0))
 
 
-def _load_run_config(path: str) -> dict:
+def _floats(n: int):
+    def convert(value) -> tuple[float, ...]:
+        if len(value) != n:
+            raise ValueError(f"expected {n} numbers, got {value!r}")
+        return tuple(float(v) for v in value)
+    return convert
+
+
+def _optional_float(value) -> float | None:
+    return None if value is None else float(value)
+
+
+# Every run-config key and how its value converts: None keeps the value as
+# written, a dict is a section with keys of its own.  Only the keys a config
+# gives are passed on, so each default stays with the code that takes it.
+RUN_CONFIG = {
+    "surface_ref": None, "benchmark_ref": None, "config_ref": None, "output_dir": None,
+    "rows": int, "cols": int, "group_size": int, "pitch_mm": _optional_float,
+    "steer_deg": _optional_float,
+    "source": {"kind": None, "amplitude": float, "incidence_deg": _floats(2),
+               "position_m": _floats(3)},
+    "grid": {"theta_step_deg": float, "phi_step_deg": float},
+    "ga": {"population": int, "generations": int, "crossover_prob": float,
+           "mutation_prob_per_gene": _optional_float, "elitism": int,
+           "tournament_size": int, "seed": int},
+    "control": {"pins_k": int, "tau_s": float, "diode_power_w": float},
+}
+
+
+def _parse_section(values, schema: dict, where: str) -> dict:
     from .errors import ConfigParseError
 
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigParseError(f"run config not found: {p}")
-    try:
-        doc = json.loads(p.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigParseError(f"cannot parse run config {p}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigParseError(f"run config {p} must be a JSON object")
-    unknown = set(doc) - CONFIG_KEYS
+    if not isinstance(values, dict):
+        raise ConfigParseError(f"{where} must be a JSON object, got {values!r}")
+    unknown = set(values) - set(schema)
     if unknown:
-        raise ConfigParseError(f"unknown run-config keys: {sorted(unknown)}")
-    return doc
+        raise ConfigParseError(f"unknown {where} keys: {sorted(unknown)}")
+    parsed = {}
+    for key, value in values.items():
+        rule = schema[key]
+        if isinstance(rule, dict):
+            parsed[key] = _parse_section(value, rule, f"{where} {key}")
+            continue
+        try:
+            parsed[key] = value if rule is None else rule(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigParseError(f"bad {where} {key} {value!r}: {exc}") from exc
+    return parsed
 
 
-def _resolve_surface(doc: dict):
+def _load_run_config(args) -> tuple[dict, dict]:
+    """The run config as written (for the run record) and as parsed, with
+    the ``--seed`` override applied."""
+    from .surface import read_json_document
+
+    doc = read_json_document(args.config, "run config")
+    cfg = _parse_section(doc, RUN_CONFIG, "run-config")
+    if args.seed is not None:
+        cfg.setdefault("ga", {})["seed"] = args.seed
+    return doc, cfg
+
+
+def _resolve_surface(cfg: dict):
     """Surface from a bundled cell id, a cell file, or a surface document."""
     from .errors import ConfigParseError
-    from .surface import BUNDLED_CELL_IDS, build_surface, load_surface, load_unit_cell
+    from .surface import (CELL_DOCUMENTS, build_surface, cell_from_document,
+                          read_json_document, surface_from_document)
 
-    ref = doc.get("surface_ref")
+    ref = cfg.get("surface_ref")
     if ref is None:
         raise ConfigParseError("run config requires surface_ref")
-    rows = int(doc.get("rows", 40))
-    cols = int(doc.get("cols", 40))
-    group = int(doc.get("group_size", 1))
-    pitch_mm = doc.get("pitch_mm")
-    pitch_m = None if pitch_mm is None else float(pitch_mm) * 1e-3
-
-    if str(ref).upper() not in BUNDLED_CELL_IDS:
-        path = Path(ref)
-        if not path.is_file():
-            raise ConfigParseError(f"surface_ref not found: {path}")
-        keys = set(json.loads(path.read_text()))
-        if "cell_id" in keys:
-            surface, layout = load_surface(path)
-            if "group_size" in doc:  # run-config override
-                return build_surface(surface.cell, surface.rows_m, surface.cols_n,
-                                     group, surface.pitch_m)
-            return surface, layout
-    cell = load_unit_cell(ref)
-    return build_surface(cell, rows, cols, group, pitch_m)
+    spec = read_json_document(ref, "surface_ref", CELL_DOCUMENTS)
+    if "cell_id" in spec:  # a surface document: what the run config gives overrides it
+        fields = {"rows": "M", "cols": "N", "group_size": "G", "pitch_mm": "pitch_mm"}
+        spec.update({fields[key]: cfg[key] for key in fields if key in cfg})
+        return surface_from_document(spec, Path(ref))
+    layout = {"group_size": cfg["group_size"]} if "group_size" in cfg else {}
+    if cfg.get("pitch_mm") is not None:
+        layout["pitch_m"] = cfg["pitch_mm"] * 1e-3
+    return build_surface(cell_from_document(spec, str(ref)),
+                         cfg.get("rows", 40), cfg.get("cols", 40), **layout)
 
 
-def _resolve_source(doc: dict):
-    from .errors import ConfigParseError
+def _resolve_source(cfg: dict):
     from .field import SourceModel
 
-    src = doc.get("source", {"kind": "planewave"})
-    kind = src.get("kind", "planewave")
-    amplitude = float(src.get("amplitude", 1.0))
-    if kind == "planewave":
-        inc = src.get("incidence_deg", (0.0, 0.0))
-        return SourceModel.planewave(amplitude, float(inc[0]), float(inc[1]))
-    if kind == "point":
-        pos = src.get("position_m")
-        if pos is None or len(pos) != 3:
-            raise ConfigParseError("point source requires position_m: [x, y, z]")
-        return SourceModel.point((float(pos[0]), float(pos[1]), float(pos[2])), amplitude)
-    raise ConfigParseError(f"unknown source kind {kind!r}")
+    src = {"kind": "planewave", **cfg.get("source", {})}
+    # a planewave has no position and a point source no incidence angle
+    src.pop("incidence_deg" if src["kind"] == "point" else "position_m", None)
+    return SourceModel(**src)
 
 
-def _resolve_grid(doc: dict):
-    from .field import GridSpec
-
-    g = doc.get("grid", {})
-    return GridSpec(theta_step_deg=float(g.get("theta_step_deg", 1.0)),
-                    phi_step_deg=float(g.get("phi_step_deg", 1.0)))
-
-
-def _resolve_ga(doc: dict, seed_override: int | None):
-    from .ga import GAParams
-
-    g = dict(doc.get("ga", {}))
-    if seed_override is not None:
-        g["seed"] = seed_override
-    mut = g.get("mutation_prob_per_gene")
-    return GAParams(
-        population=int(g.get("population", 100)),
-        generations=int(g.get("generations", 350)),
-        crossover_prob=float(g.get("crossover_prob", 0.9)),
-        mutation_prob_per_gene=None if mut is None else float(mut),
-        elitism=int(g.get("elitism", 2)),
-        tournament_size=int(g.get("tournament_size", 2)),
-        seed=int(g.get("seed", 42)),
-    )
-
-
-def _resolve_control(doc: dict) -> dict:
-    from . import control as ctl
-
-    c = doc.get("control", {})
-    return {
-        "pins_k": int(c.get("pins_k", ctl.DEFAULT_PINS_K)),
-        "tau_s": float(c.get("tau_s", ctl.DEFAULT_TAU_S)),
-        "diode_power_w": float(c.get("diode_power_w", ctl.DEFAULT_DIODE_POWER_W)),
-    }
-
-
-def _output_dir(doc: dict, out_flag: str | None) -> Path:
+def _output_dir(cfg: dict, out_flag: str | None) -> Path:
     from .errors import IoError
 
-    out = Path(out_flag) if out_flag else Path(doc.get("output_dir", "runs/out"))
+    out = Path(out_flag) if out_flag else Path(cfg.get("output_dir", "runs/out"))
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -185,19 +170,19 @@ def _run_record(doc, seed, metrics, report, artifacts, wall_s) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    from .field import FieldEvaluator, steering_config, write_field_csv
+    from .field import FieldEvaluator, GridSpec, steering_config, write_field_csv
     from .surface import read_config_csv, uniform_config
 
-    doc = _load_run_config(args.config)
-    surface, _ = _resolve_surface(doc)
-    src = _resolve_source(doc)
-    grid = _resolve_grid(doc)
-    out = _output_dir(doc, args.out)
+    _, cfg = _load_run_config(args)
+    surface, _ = _resolve_surface(cfg)
+    src = _resolve_source(cfg)
+    grid = GridSpec(**cfg.get("grid", {}))
+    out = _output_dir(cfg, args.out)
 
-    if doc.get("config_ref"):
-        config = read_config_csv(Path(doc["config_ref"]))
-    elif doc.get("steer_deg") is not None:
-        config = steering_config(surface, float(doc["steer_deg"]))
+    if cfg.get("config_ref"):
+        config = read_config_csv(Path(cfg["config_ref"]))
+    elif cfg.get("steer_deg") is not None:
+        config = steering_config(surface, cfg["steer_deg"])
     else:
         config = uniform_config(surface)
 
@@ -213,19 +198,19 @@ def cmd_simulate(args) -> int:
 def cmd_optimize(args) -> int:
     from .benchmarks import ideal_target_field, load_benchmark, reference_pattern
     from .control import complexity_report
-    from .field import write_field_csv
-    from .ga import run_ga
+    from .field import GridSpec, write_field_csv
+    from .ga import GAParams, run_ga
     from .metrics import evaluate_all
     from .surface import write_config_csv
 
     t0 = time.perf_counter()
-    doc = _load_run_config(args.config)
-    surface, _ = _resolve_surface(doc)
-    src = _resolve_source(doc)
-    grid = _resolve_grid(doc)
-    ga = _resolve_ga(doc, args.seed)
-    bm = load_benchmark(doc.get("benchmark_ref", "B1"))
-    out = _output_dir(doc, args.out)
+    doc, cfg = _load_run_config(args)
+    surface, _ = _resolve_surface(cfg)
+    src = _resolve_source(cfg)
+    grid = GridSpec(**cfg.get("grid", {}))
+    ga = GAParams(**cfg.get("ga", {}))
+    bm = load_benchmark(cfg.get("benchmark_ref", "B1"))
+    out = _output_dir(cfg, args.out)
 
     target = ideal_target_field(bm, grid)
     result = run_ga(surface, src, target, ga)
@@ -244,8 +229,7 @@ def cmd_optimize(args) -> int:
 
     reference, _ = reference_pattern(bm, src, ga.seed, ga_params=ga, grid=grid)
     metrics = evaluate_all(reference, result.best_field, bm)
-    ctl = _resolve_control(doc)
-    report = complexity_report(surface, **ctl)
+    report = complexity_report(surface, **cfg.get("control", {}))
     record = _run_record(
         doc, ga.seed, metrics, report,
         {"best_config_csv": config_csv, "history_csv": history_csv,
@@ -261,14 +245,15 @@ def cmd_optimize(args) -> int:
 
 def cmd_evaluate(args) -> int:
     from .benchmarks import load_benchmark, reference_pattern
-    from .field import read_field_csv
+    from .field import GridSpec, read_field_csv
+    from .ga import GAParams
     from .metrics import evaluate_all
 
-    doc = _load_run_config(args.config)
-    src = _resolve_source(doc)
-    grid = _resolve_grid(doc)
-    ga = _resolve_ga(doc, args.seed)
-    bm = load_benchmark(doc.get("benchmark_ref", "B1"))
+    _, cfg = _load_run_config(args)
+    src = _resolve_source(cfg)
+    grid = GridSpec(**cfg.get("grid", {}))
+    ga = GAParams(**cfg.get("ga", {}))
+    bm = load_benchmark(cfg.get("benchmark_ref", "B1"))
 
     achieved = read_field_csv(args.achieved)
     if args.reference:
@@ -279,27 +264,27 @@ def cmd_evaluate(args) -> int:
     text = json.dumps(metrics.to_dict(), indent=2)
     print(text)
     if args.out:
-        out = _output_dir(doc, args.out)
+        out = _output_dir(cfg, args.out)
         (out / "metrics.json").write_text(text + "\n")
     return 0
 
 
 def cmd_sweep_grouping(args) -> int:
     from .benchmarks import ideal_target_field, load_benchmark, reference_pattern
-    from .control import physical_paths, switching_rate
-    from .field import write_field_csv
-    from .ga import run_ga
+    from .control import complexity_report
+    from .field import GridSpec, write_field_csv
+    from .ga import GAParams, run_ga
     from .metrics import evaluate_all
     from .surface import build_surface, write_config_csv
 
-    doc = _load_run_config(args.config)
-    surface, _ = _resolve_surface(doc)
-    src = _resolve_source(doc)
-    grid = _resolve_grid(doc)
-    ga = _resolve_ga(doc, args.seed)
-    bm = load_benchmark(doc.get("benchmark_ref", "B1"))
-    ctl = _resolve_control(doc)
-    out = _output_dir(doc, args.out)
+    _, cfg = _load_run_config(args)
+    surface, _ = _resolve_surface(cfg)
+    src = _resolve_source(cfg)
+    grid = GridSpec(**cfg.get("grid", {}))
+    ga = GAParams(**cfg.get("ga", {}))
+    bm = load_benchmark(cfg.get("benchmark_ref", "B1"))
+    ctl = cfg.get("control", {})
+    out = _output_dir(cfg, args.out)
     groups = [int(g) for g in args.groups.split(",")]
 
     target = ideal_target_field(bm, grid)
@@ -315,12 +300,9 @@ def cmd_sweep_grouping(args) -> int:
         gdir.mkdir(exist_ok=True)
         write_config_csv(result.best_config, gdir / "best_config.csv")
         write_field_csv(result.best_field, gdir / "achieved_pattern.csv")
-        rows.append((
-            g, metrics.de, metrics.nmse, metrics.slr_db,
-            physical_paths(surf_g.rows_m, surf_g.cols_n, surf_g.cell.n_bits, g),
-            switching_rate(g, ctl["pins_k"], surf_g.rows_m, surf_g.cols_n,
-                           surf_g.cell.n_bits, ctl["tau_s"]),
-        ))
+        report = complexity_report(surf_g, **ctl)
+        rows.append((g, metrics.de, metrics.nmse, metrics.slr_db,
+                     report.physical_paths, report.switching_rate_hz))
 
     sweep_csv = out / "sweep.csv"
     with open(sweep_csv, "w") as fh:
@@ -335,18 +317,18 @@ def cmd_table1(args) -> int:
     from .control import complexity_report
     from .surface import BUNDLED_CELL_IDS, build_surface, load_unit_cell
 
-    rows_m, cols_n, group = args.rows, args.cols, args.group
-    pins = args.pins_k
-    tau_s = args.tau_ns * 1e-9
-    p_d = args.diode_mw * 1e-3
+    # Only the flags given reach complexity_report, which holds the defaults.
+    flags = {"pins_k": (args.pins_k, 1), "tau_s": (args.tau_ns, 1e-9),
+             "diode_power_w": (args.diode_mw, 1e-3)}
+    ctl = {key: value * unit for key, (value, unit) in flags.items() if value is not None}
 
     reports = {}
     for cid in BUNDLED_CELL_IDS:
         if cid == "S0":
             continue  # the idealized reference has no physical circuit
         cell = load_unit_cell(cid)
-        surface, _ = build_surface(cell, rows_m, cols_n, group)
-        reports[cid] = complexity_report(surface, pins, tau_s, p_d)
+        surface, _ = build_surface(cell, args.rows, args.cols, args.group)
+        reports[cid] = complexity_report(surface, **ctl)
 
     if args.json:
         print(json.dumps({cid: r.to_dict() for cid, r in reports.items()}, indent=2))
@@ -399,9 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--rows", type=int, default=40)
     p_tab.add_argument("--cols", type=int, default=40)
     p_tab.add_argument("--group", type=int, default=1)
-    p_tab.add_argument("--pins-k", type=int, default=40)
-    p_tab.add_argument("--tau-ns", type=float, default=20.0)
-    p_tab.add_argument("--diode-mw", type=float, default=8.0)
+    p_tab.add_argument("--pins-k", type=int, default=None)
+    p_tab.add_argument("--tau-ns", type=float, default=None)
+    p_tab.add_argument("--diode-mw", type=float, default=None)
     return parser
 
 

@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    ConfigError,
     ConfigMismatch,
     ConfigParseError,
     GroupSizeMismatch,
@@ -289,9 +290,40 @@ def near_field_boundary(aperture_diameter_m: float, wavelength_m: float) -> floa
 #
 # Cell document:    {id, n_bits, n_diodes, states: [{mag, phase_deg}], q,
 #                    width_mm, height_mm, freq_ghz}
-# Surface document: {cell_id, M, N, G, pitch_mm?}
+# Surface document: {cell_id, M, N, G?, pitch_mm?}
 
-def _cell_from_dict(doc: dict, origin: str) -> UnitCellSpec:
+CELL_DOCUMENTS = ("cells", BUNDLED_CELL_IDS)
+
+
+def read_json_document(ref: str | Path, what: str,
+                       bundled: tuple[str, Sequence[str]] = ("", ()),
+                       missing: type[ConfigError] = ConfigParseError) -> dict:
+    """Parse the JSON object ``ref`` names: a bundled id or a file path.
+
+    ``bundled`` is (data folder, ids): a ref equal to one of the ids, in any
+    case, is read from ``risbench/data/<folder>/<id>.json``.  A ref that is
+    neither raises ``missing``; an unreadable or malformed document, or one
+    whose top level is not an object, raises ``ConfigParseError``.
+    """
+    folder, ids = bundled
+    name = str(ref)
+    if name.upper() in ids:
+        source = resources.files("risbench").joinpath("data", folder, f"{name.lower()}.json")
+    else:
+        source = Path(name)
+        if not source.is_file():
+            raise missing(f"{what} not found: {name}")
+    try:
+        doc = json.loads(source.read_text())
+    except (OSError, ValueError) as exc:  # ValueError covers decode and JSON errors
+        raise ConfigParseError(f"cannot parse {what} {name}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigParseError(f"{what} {name} must be a JSON object")
+    return doc
+
+
+def cell_from_document(doc: dict, origin: str) -> UnitCellSpec:
+    """Validated cell from a parsed cell document."""
     try:
         states = tuple(
             ReflectionState(gamma_mag=float(s["mag"]), gamma_phase_deg=float(s["phase_deg"]))
@@ -312,39 +344,29 @@ def _cell_from_dict(doc: dict, origin: str) -> UnitCellSpec:
     return validate_unit_cell(cell)
 
 
-def _bundled_cell_text(cell_id: str) -> str:
-    name = f"{cell_id.lower()}.json"
-    return resources.files("risbench").joinpath("data", "cells", name).read_text()
+def surface_from_document(doc: dict, path: Path) -> tuple[SurfaceSpec, GroupLayout]:
+    """Surface from a parsed surface document read from ``path``; a cell_id
+    naming a file next to the document is read from there."""
+    try:
+        cell_ref = str(doc["cell_id"])
+        rows, cols = int(doc["M"]), int(doc["N"])
+        group = int(doc.get("G", 1))
+        pitch = doc.get("pitch_mm")
+        pitch_m = None if pitch is None else float(pitch) * 1e-3
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigParseError(f"malformed surface document {path}: {exc}") from exc
+    sibling = path.parent / cell_ref
+    if cell_ref.upper() not in BUNDLED_CELL_IDS and sibling.is_file():
+        cell_ref = str(sibling)
+    return build_surface(load_unit_cell(cell_ref), rows, cols, group, pitch_m)
 
 
 def load_unit_cell(ref: str | Path) -> UnitCellSpec:
     """Load a cell by bundled id (S0..S5) or from a JSON file."""
-    ref_str = str(ref)
-    if ref_str.upper() in BUNDLED_CELL_IDS:
-        return _cell_from_dict(json.loads(_bundled_cell_text(ref_str.upper())), ref_str)
-    path = Path(ref)
-    if not path.is_file():
-        raise ConfigParseError(f"cell spec not found: {path}")
-    return _cell_from_dict(json.loads(path.read_text()), str(path))
+    return cell_from_document(read_json_document(ref, "cell spec", CELL_DOCUMENTS), str(ref))
 
 
 def load_surface(path: str | Path) -> tuple[SurfaceSpec, GroupLayout]:
     """Load a surface document; its cell_id may be bundled or a sibling path."""
     path = Path(path)
-    if not path.is_file():
-        raise ConfigParseError(f"surface spec not found: {path}")
-    try:
-        doc = json.loads(path.read_text())
-        cell_ref = str(doc["cell_id"])
-        rows, cols = int(doc["M"]), int(doc["N"])
-        group = int(doc.get("G", 1))
-        pitch = doc.get("pitch_mm")
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigParseError(f"malformed surface document {path}: {exc}") from exc
-    if cell_ref.upper() not in BUNDLED_CELL_IDS and not Path(cell_ref).is_absolute():
-        candidate = path.parent / cell_ref
-        if candidate.is_file():
-            cell_ref = str(candidate)
-    cell = load_unit_cell(cell_ref)
-    pitch_m = None if pitch is None else float(pitch) * 1e-3
-    return build_surface(cell, rows, cols, group, pitch_m)
+    return surface_from_document(read_json_document(path, "surface spec"), path)

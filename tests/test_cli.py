@@ -25,6 +25,35 @@ def fresh_process(args, **env):
     return proc.stdout
 
 
+def _write(tmp, name, text):
+    (tmp / name).write_text(text)
+    return str(tmp / name)
+
+
+BEAM = {"theta_deg": 20.0, "amplitude": 1.0, "start_deg": 14.0, "end_deg": 26.0}
+
+# Run configs that must stop with a configuration error (exit 2) before any
+# output: (subcommand, edit of the valid run-config document).
+BAD_CONFIGS = {
+    "surfce_ref": ("simulate", lambda doc, tmp: doc.update(surfce_ref="S1")),
+    "ga.generation": ("simulate", lambda doc, tmp: doc["ga"].update(generation=2)),
+    "grid.theta_step": ("simulate", lambda doc, tmp: doc["grid"].update(theta_step=2.0)),
+    "source.incidence": ("simulate", lambda doc, tmp: doc["source"].update(incidence=[9, 0])),
+    "control.pins": ("simulate", lambda doc, tmp: doc.update(control={"pins": 8})),
+    "source_not_object": ("simulate", lambda doc, tmp: doc.update(source="planewave")),
+    "incidence_three_angles": (
+        "simulate", lambda doc, tmp: doc["source"].update(incidence_deg=[9, 0, 0])),
+    "population_not_int": ("simulate", lambda doc, tmp: doc["ga"].update(population="x")),
+    "rows_not_int": ("simulate", lambda doc, tmp: doc.update(rows="abc")),
+    "truncated_benchmark": ("optimize", lambda doc, tmp: doc.update(
+        benchmark_ref=_write(tmp, "bm.json", json.dumps({"id": "mine", "beams": [BEAM]})[:-9]))),
+    "truncated_cell": ("simulate", lambda doc, tmp: doc.update(
+        surface_ref=_write(tmp, "cell.json", '{"id": "S9", "n_bits": 1, "st'))),
+    "benchmark_id_escapes_cache": ("optimize", lambda doc, tmp: doc.update(
+        benchmark_ref=_write(tmp, "esc.json", json.dumps({"id": "../escaped", "beams": [BEAM]})))),
+}
+
+
 @pytest.fixture()
 def run_config(tmp_path, monkeypatch):
     """Small, fast run setup: 6x6 1-bit surface, reduced GA budget."""
@@ -74,12 +103,32 @@ class TestSimulate:
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
 
-    def test_unknown_key_rejected(self, run_config):
+    @pytest.mark.parametrize("command, edit", BAD_CONFIGS.values(), ids=BAD_CONFIGS)
+    def test_unknown_key_rejected(self, run_config, command, edit):
         cfg_path, tmp = run_config
         doc = json.loads(cfg_path.read_text())
-        doc["surfce_ref"] = "S1"
+        edit(doc, tmp)
         cfg_path.write_text(json.dumps(doc))
-        assert main(["simulate", "--config", str(cfg_path)]) == 2
+        assert main([command, "--config", str(cfg_path)]) == 2
+        assert not (tmp / "cache").exists() and not (tmp / "out").exists()
+
+    def test_run_config_overrides_surface_document(self, run_config):
+        # The run config's rows, cols, group_size and pitch_mm replace the
+        # document's M, N, G and pitch_mm (its G=3 does not divide 8x8).
+        cfg_path, tmp = run_config
+        surf = tmp / "surf.json"
+        surf.write_text(json.dumps({"cell_id": "S1", "M": 3, "N": 3, "G": 3, "pitch_mm": 9.0}))
+        doc = json.loads(cfg_path.read_text())
+        doc.update(rows=8, cols=8, group_size=2, pitch_mm=12.0, steer_deg=20.0)
+        outputs = []
+        for ref in (str(surf), "S1"):
+            doc["surface_ref"] = ref
+            cfg_path.write_text(json.dumps(doc))
+            assert main(["simulate", "--config", str(cfg_path)]) == 0
+            outputs.append([(tmp / "out" / name).read_bytes()
+                            for name in ("pattern.csv", "config.ppm")])
+        assert outputs[0][1].startswith(b"P6\n8 8\n")
+        assert outputs[0] == outputs[1]
 
     def test_missing_surface_file(self, run_config):
         cfg_path, tmp = run_config
@@ -242,7 +291,9 @@ class TestConfigCsv:
 class TestImport:
     def test_cli_import_leaves_numpy_unloaded(self):
         # --threads only takes effect if numpy's BLAS loads after main() runs.
-        out = fresh_process(["-c", "import sys, risbench.cli; print('numpy' in sys.modules)"])
+        out = fresh_process(["-c", "import sys, risbench.cli as cli; "
+                             "cli.build_parser().parse_args(['table1']); "
+                             "print('numpy' in sys.modules)"])
         assert out.strip() == "False"
 
 
@@ -254,6 +305,12 @@ class TestTable1:
         assert np.isclose(doc["S1"]["power_per_area_w_m2"], 44.0, rtol=0.02)
         assert np.isclose(doc["S5"]["power_per_area_w_m2"], 12.8, rtol=0.02)
         assert np.isclose(doc["S3"]["total_power_w"], 64.0, rtol=1e-12)
+
+    def test_flags_reach_report(self, capsys):
+        assert main(["table1", "--json", "--pins-k", "8", "--tau-ns", "10",
+                     "--diode-mw", "4"]) == 0
+        echo = json.loads(capsys.readouterr().out)["S3"]["params_echo"]
+        assert (echo["K"], echo["tau_s"], echo["P_D_w"]) == (8, 10 * 1e-9, 4 * 1e-3)
 
     def test_table_prints_five_rows(self, capsys):
         assert main(["table1"]) == 0
