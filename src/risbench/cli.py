@@ -38,20 +38,29 @@ def _optional_float(value) -> float | None:
     return None if value is None else float(value)
 
 
+def _integer(value) -> int:
+    """An integral JSON number; int() would truncate 6.9 and take true as 1."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 # Every run-config key and how its value converts: None keeps the value as
 # written, a dict is a section with keys of its own.  Only the keys a config
 # gives are passed on, so each default stays with the code that takes it.
 RUN_CONFIG = {
     "surface_ref": None, "benchmark_ref": None, "config_ref": None, "output_dir": None,
-    "rows": int, "cols": int, "group_size": int, "pitch_mm": _optional_float,
+    "rows": _integer, "cols": _integer, "group_size": _integer, "pitch_mm": _optional_float,
     "steer_deg": _optional_float,
     "source": {"kind": None, "amplitude": float, "incidence_deg": _floats(2),
                "position_m": _floats(3)},
     "grid": {"theta_step_deg": float, "phi_step_deg": float},
-    "ga": {"population": int, "generations": int, "crossover_prob": float,
-           "mutation_prob_per_gene": _optional_float, "elitism": int,
-           "tournament_size": int, "seed": int},
-    "control": {"pins_k": int, "tau_s": float, "diode_power_w": float},
+    "ga": {"population": _integer, "generations": _integer, "crossover_prob": float,
+           "mutation_prob_per_gene": _optional_float, "elitism": _integer,
+           "tournament_size": _integer, "seed": _integer},
+    "control": {"pins_k": _integer, "tau_s": float, "diode_power_w": float},
 }
 
 
@@ -272,6 +281,7 @@ def cmd_evaluate(args) -> int:
 def cmd_sweep_grouping(args) -> int:
     from .benchmarks import ideal_target_field, load_benchmark, reference_pattern
     from .control import complexity_report
+    from .errors import ConfigParseError
     from .field import GridSpec, write_field_csv
     from .ga import GAParams, run_ga
     from .metrics import evaluate_all
@@ -284,16 +294,20 @@ def cmd_sweep_grouping(args) -> int:
     ga = GAParams(**cfg.get("ga", {}))
     bm = load_benchmark(cfg.get("benchmark_ref", "B1"))
     ctl = cfg.get("control", {})
+    try:
+        groups = [int(g) for g in args.groups.split(",")]
+    except ValueError as exc:
+        raise ConfigParseError(f"bad --groups {args.groups!r}: {exc}") from exc
+    # Every group size is checked against the surface before anything is written.
+    surfaces = [(g, build_surface(surface.cell, surface.rows_m, surface.cols_n,
+                                  g, surface.pitch_m)[0]) for g in groups]
     out = _output_dir(cfg, args.out)
-    groups = [int(g) for g in args.groups.split(",")]
 
     target = ideal_target_field(bm, grid)
     reference, _ = reference_pattern(bm, src, ga.seed, ga_params=ga, grid=grid)
 
     rows = []
-    for g in groups:
-        surf_g, _ = build_surface(surface.cell, surface.rows_m, surface.cols_n,
-                                  g, surface.pitch_m)
+    for g, surf_g in surfaces:
         result = run_ga(surf_g, src, target, ga)
         metrics = evaluate_all(reference, result.best_field, bm)
         gdir = out / f"g{g}"

@@ -59,21 +59,24 @@ class GAResult:
 
 
 class _Objective:
-    """Fitness of a group-state chromosome, memoized by chromosome bytes.
+    """Fitness of a group-state chromosome, memoized by chromosome bytes
+    unless ``memoize`` is False.
 
-    Equals ``-nmse(target, evaluator.field(config))`` bit for bit: it runs the
-    evaluator's ``front`` kernel and skips only the FieldGrid construction.
-    The back hemisphere of both fields is identically zero, so its difference
-    terms are written once as zeros and the mean runs over the same
-    full-length array in the same order as the public metric.
+    Equals ``-nmse(target, evaluator.field(config))`` exactly, because both
+    take the field from the same ``front`` kernel; this skips only the
+    FieldGrid construction.  The back hemisphere of both fields is
+    identically zero, so its difference terms are written once as zeros and
+    the mean runs over the same full-length array in the same order as the
+    public metric.
     """
 
-    def __init__(self, surface: SurfaceSpec, src: SourceModel, target: FieldGrid):
+    def __init__(self, surface: SurfaceSpec, src: SourceModel, target: FieldGrid,
+                 memoize: bool = True):
         self.layout = group_layout(surface.rows_m, surface.cols_n, surface.group_size)
         self.n_states = surface.cell.n_states
         self.evaluator = FieldEvaluator(surface, src, target.grid)
         self.evaluations = 0
-        self._memo: dict[bytes, float] = {}
+        self._memo: dict[bytes, float] | None = {} if memoize else None
 
         t_mags = target.magnitude()
         t_peak = float(t_mags.max())
@@ -89,19 +92,22 @@ class _Objective:
         return expand_groups(chromosome, self.layout, self.n_states)
 
     def __call__(self, chromosome: np.ndarray) -> float:
+        if self._memo is None:
+            return self._score(chromosome)
         key = chromosome.tobytes()
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = self._score(chromosome)
+        return value
+
+    def _score(self, chromosome: np.ndarray) -> float:
         mags = np.abs(self.evaluator.front(chromosome[self.layout.assignment]))
         peak = float(mags.max())
         if peak == 0.0:
             raise AllZeroField("achieved field is identically zero")
         np.subtract(self._t_norm_front, mags / peak, out=self._diff[: mags.size])
-        value = -float(np.mean(self._diff * self._diff))
         self.evaluations += 1
-        self._memo[key] = value
-        return value
+        return -float(np.mean(self._diff * self._diff))
 
 
 def fitness(config: ConfigMatrix, target: FieldGrid, surface: SurfaceSpec,
@@ -179,7 +185,7 @@ def exhaustive_search(surface: SurfaceSpec, src: SourceModel,
             f"{n_states}^{surface.n_groups} = {total} configurations exceed "
             f"the {EXHAUSTIVE_GUARD} guard"
         )
-    objective = _Objective(surface, src, target)
+    objective = _Objective(surface, src, target, memoize=False)  # no chromosome repeats
     best_chromo = None
     best_fit = -np.inf
     for genes in itertools.product(range(n_states), repeat=surface.n_groups):

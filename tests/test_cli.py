@@ -45,6 +45,11 @@ BAD_CONFIGS = {
         "simulate", lambda doc, tmp: doc["source"].update(incidence_deg=[9, 0, 0])),
     "population_not_int": ("simulate", lambda doc, tmp: doc["ga"].update(population="x")),
     "rows_not_int": ("simulate", lambda doc, tmp: doc.update(rows="abc")),
+    "rows_fraction": ("simulate", lambda doc, tmp: doc.update(rows=6.9)),
+    "cols_bool": ("simulate", lambda doc, tmp: doc.update(cols=True)),
+    "ga.generations_fraction": ("simulate", lambda doc, tmp: doc["ga"].update(generations=2.5)),
+    "ga.seed_bool": ("simulate", lambda doc, tmp: doc["ga"].update(seed=True)),
+    "control.pins_k_fraction": ("simulate", lambda doc, tmp: doc.update(control={"pins_k": 8.5})),
     "truncated_benchmark": ("optimize", lambda doc, tmp: doc.update(
         benchmark_ref=_write(tmp, "bm.json", json.dumps({"id": "mine", "beams": [BEAM]})[:-9]))),
     "truncated_cell": ("simulate", lambda doc, tmp: doc.update(
@@ -111,6 +116,14 @@ class TestSimulate:
         cfg_path.write_text(json.dumps(doc))
         assert main([command, "--config", str(cfg_path)]) == 2
         assert not (tmp / "cache").exists() and not (tmp / "out").exists()
+
+    def test_integral_float_is_an_integer(self, run_config):
+        cfg_path, tmp = run_config
+        doc = json.loads(cfg_path.read_text())
+        doc.update(rows=6.0, cols=4.0)
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(cfg_path)]) == 0
+        assert (tmp / "out" / "config.ppm").read_bytes().startswith(b"P6\n4 6\n")
 
     def test_run_config_overrides_surface_document(self, run_config):
         # The run config's rows, cols, group_size and pitch_mm replace the
@@ -271,6 +284,13 @@ class TestSweepGrouping:
         rate1, rate2 = float(row1[5]), float(row2[5])
         assert paths2 == paths1 // 2
         assert np.isclose(rate2, 2 * rate1)
+
+    @pytest.mark.parametrize("groups", ["1,x", "0", "1,5"])
+    def test_bad_groups_rejected_before_output(self, run_config, groups):
+        # 5 does not divide the 6x6 surface; no group size may start a run.
+        cfg_path, tmp = run_config
+        assert main(["sweep-grouping", "--config", str(cfg_path), "--groups", groups]) == 2
+        assert not (tmp / "cache").exists() and not (tmp / "out").exists()
 
 
 class TestConfigCsv:

@@ -9,6 +9,7 @@ from risbench.errors import (
     GridMismatch,
     GridMissingPlane,
     IoError,
+    NonPositiveParam,
     SourceBelowSurface,
 )
 from risbench.field import (
@@ -64,6 +65,15 @@ class TestRadiationFactor:
 class TestGridSpec:
     def test_default_point_count(self):
         assert GridSpec().n_points == 180 * 360
+
+    @pytest.mark.parametrize("step", [math.inf, math.nan, 0.0, -1.0])
+    def test_step_must_be_positive_and_finite(self, step):
+        # span / inf is 0, a whole number, so the divisibility check alone
+        # would accept an empty axis
+        with pytest.raises(NonPositiveParam):
+            GridSpec(theta_step_deg=step)
+        with pytest.raises(NonPositiveParam):
+            GridSpec(phi_step_deg=step)
 
     def test_step_must_divide_span(self):
         with pytest.raises(ConfigMismatch):
@@ -174,6 +184,65 @@ class TestPointSource:
         na = np.abs(fpt.values) / np.abs(fpt.values).max()
         nb = np.abs(fpw.values) / np.abs(fpw.values).max()
         assert np.max(np.abs(na - nb)) < 1e-3
+
+
+def direct_sum_field(surf, config, src, grid):
+    """E(theta, phi) summed cell by cell for each direction, from the model's
+    definition: Gamma * cell factor * exp(jk(x u + y v)) * envelope."""
+    cell = surf.cell
+    k = 2.0 * math.pi / cell.wavelength_m
+    q = cell.q_exponent
+    xs = (np.arange(surf.cols_n) - (surf.cols_n - 1) / 2.0) * surf.pitch_m
+    ys = (np.arange(surf.rows_m) - (surf.rows_m - 1) / 2.0) * surf.pitch_m
+    x, y = np.meshgrid(xs, ys)  # (M, N)
+    gamma = np.array([s.gamma_mag * np.exp(1j * math.radians(s.gamma_phase_deg))
+                      for s in cell.states])[config.states]
+    if src.kind == "planewave":
+        ti, pi_ = (math.radians(a) for a in src.incidence_deg)
+        weight = gamma * np.exp(1j * k * math.sin(ti) * (x * math.cos(pi_) + y * math.sin(pi_)))
+        scale = src.amplitude * max(math.cos(ti), 0.0) ** (1.0 / q)
+    else:
+        px, py, pz = src.position_m
+        r = np.sqrt((px - x) ** 2 + (py - y) ** 2 + pz ** 2)
+        weight = gamma * (src.amplitude / r) * np.exp(-1j * k * r) * (pz / r) ** (1.0 / q)
+        scale = 1.0
+    values = np.zeros(grid.shape, dtype=complex)
+    for i, theta in enumerate(np.radians(grid.theta_deg())):
+        if math.cos(theta) < 0.0:
+            break  # back hemisphere stays zero
+        env = scale * math.cos(theta) ** (1.0 / q)
+        for j, phi in enumerate(np.radians(grid.phi_deg())):
+            u = math.sin(theta) * math.cos(phi)
+            v = math.sin(theta) * math.sin(phi)
+            values[i, j] = env * np.sum(weight * np.exp(1j * k * (x * u + y * v)))
+    return values
+
+
+class TestFidelity:
+    """The evaluator against a per-direction direct sum, to 1e-12 of the peak."""
+
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 6), (1, 7), (4, 6), (5, 7), (6, 3)])
+    @pytest.mark.parametrize("src", [
+        SourceModel.point((0.011, -0.023, 0.09)),
+        SourceModel.planewave(amplitude=2.0, theta_inc_deg=25.0, phi_inc_deg=40.0),
+    ], ids=["point", "planewave_oblique"])
+    @pytest.mark.parametrize("grid", [
+        GridSpec(9.0, 8.0),     # 45 phi columns
+        GridSpec(10.0, 12.0),   # 30 phi columns
+        GridSpec(30.0, 120.0),  # 3 phi columns
+        GridSpec(30.0, 180.0),  # 2 phi columns
+        GridSpec(45.0, 360.0),  # 1 phi column
+    ], ids=lambda g: f"phi{g.shape[1]}")
+    def test_field_matches_direct_sum(self, rows, cols, src, grid):
+        cell = load_unit_cell("S3")
+        surf, _ = build_surface(cell, rows, cols)
+        rng = np.random.default_rng(rows * 10 + cols)
+        cfg = ConfigMatrix(states=rng.integers(0, cell.n_states, size=(rows, cols)))
+        got = FieldEvaluator(surf, src, grid).field(cfg).values
+        want = direct_sum_field(surf, cfg, src, grid)
+        peak = np.abs(want).max()
+        assert peak > 0.0
+        assert np.max(np.abs(got - want)) <= 1e-12 * peak
 
 
 class TestPrincipalCut:

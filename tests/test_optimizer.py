@@ -182,6 +182,22 @@ class TestExhaustiveSearch:
         exhaustive_search(surf, PW, target)
         assert len(calls) == 16
 
+    def test_scores_without_memo(self, monkeypatch):
+        # Every chromosome comes once, so nothing is kept per chromosome: a
+        # repeat after the search is scored again instead of looked up.
+        import risbench.ga as ga_mod
+
+        made = []
+        monkeypatch.setattr(ga_mod, "_Objective",
+                            lambda *a, **kw: made.append(_Objective(*a, **kw)) or made[-1])
+        surf, _ = build_surface(one_bit_cell(), 2, 2)
+        target = reachable_target(surf, [[0, 1], [1, 0]])
+        exhaustive_search(surf, PW, target)
+        (objective,) = made
+        assert objective.evaluations == 16
+        objective(np.zeros(4, dtype=np.int64))
+        assert objective.evaluations == 17
+
     def test_guard_rejects_large_spaces(self):
         surf, _ = build_surface(one_bit_cell(), 40, 40)
         target = reachable_target(surf, np.zeros((40, 40), dtype=int))
