@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -26,25 +27,33 @@ from . import __version__ as TOOL_VERSION
 STATE_PALETTE = ((0, 0, 255), (0, 255, 255), (255, 255, 0), (255, 0, 0))
 
 
+def _number(value) -> float:
+    """A finite JSON number; float() would also take true, "12" and "nan".
+    The exact type test keeps booleans out (bool subclasses int)."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
 def _floats(n: int):
     def convert(value) -> tuple[float, ...]:
         if len(value) != n:
             raise ValueError(f"expected {n} numbers, got {value!r}")
-        return tuple(float(v) for v in value)
+        return tuple(_number(v) for v in value)
     return convert
 
 
 def _optional_float(value) -> float | None:
-    return None if value is None else float(value)
+    return None if value is None else _number(value)
 
 
 def _integer(value) -> int:
     """An integral JSON number; int() would truncate 6.9 and take true as 1."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if not isinstance(value, int) or isinstance(value, bool):
+    if type(value) is int:
+        return value  # exact, however large (ga.seed)
+    if not _number(value).is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
-    return value
+    return int(value)
 
 
 # Every run-config key and how its value converts: None keeps the value as
@@ -54,13 +63,13 @@ RUN_CONFIG = {
     "surface_ref": None, "benchmark_ref": None, "config_ref": None, "output_dir": None,
     "rows": _integer, "cols": _integer, "group_size": _integer, "pitch_mm": _optional_float,
     "steer_deg": _optional_float,
-    "source": {"kind": None, "amplitude": float, "incidence_deg": _floats(2),
+    "source": {"kind": None, "amplitude": _number, "incidence_deg": _floats(2),
                "position_m": _floats(3)},
-    "grid": {"theta_step_deg": float, "phi_step_deg": float},
-    "ga": {"population": _integer, "generations": _integer, "crossover_prob": float,
+    "grid": {"theta_step_deg": _number, "phi_step_deg": _number},
+    "ga": {"population": _integer, "generations": _integer, "crossover_prob": _number,
            "mutation_prob_per_gene": _optional_float, "elitism": _integer,
            "tournament_size": _integer, "seed": _integer},
-    "control": {"pins_k": _integer, "tau_s": float, "diode_power_w": float},
+    "control": {"pins_k": _integer, "tau_s": _number, "diode_power_w": _number},
 }
 
 
@@ -80,7 +89,7 @@ def _parse_section(values, schema: dict, where: str) -> dict:
             continue
         try:
             parsed[key] = value if rule is None else rule(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigParseError(f"bad {where} {key} {value!r}: {exc}") from exc
     return parsed
 
@@ -127,6 +136,16 @@ def _resolve_source(cfg: dict):
     return SourceModel(**src)
 
 
+def _run_inputs(cfg: dict) -> tuple:
+    """Source, grid, GA parameters and benchmark of a run config."""
+    from .benchmarks import load_benchmark
+    from .field import GridSpec
+    from .ga import GAParams
+
+    return (_resolve_source(cfg), GridSpec(**cfg.get("grid", {})),
+            GAParams(**cfg.get("ga", {})), load_benchmark(cfg.get("benchmark_ref", "B1")))
+
+
 def _output_dir(cfg: dict, out_flag: str | None) -> Path:
     from .errors import IoError
 
@@ -138,44 +157,44 @@ def _output_dir(cfg: dict, out_flag: str | None) -> Path:
     return out
 
 
-def __getattr__(name: str):
-    # The config-CSV codec lives in surface; it is re-exported here on first
-    # access so that importing this module does not load numpy.
-    if name in ("read_config_csv", "write_config_csv"):
-        from . import surface
-
-        return getattr(surface, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def write_config_ppm(config, path: Path) -> None:
     """Binary pixmap of the state grid, one pixel per cell."""
-    rows, cols = config.states.shape
-    body = bytearray()
-    for m in range(rows):
-        for n in range(cols):
-            s = int(config.states[m, n])
-            if s < len(STATE_PALETTE):
-                rgb = STATE_PALETTE[s]
-            else:  # gray ramp past the named palette
-                level = 64 + (s * 37) % 128
-                rgb = (level, level, level)
-            body.extend(rgb)
+    import numpy as np
+
+    states = config.states
+    # a gray ramp past the named colours
+    gray = 64 + 37 * np.arange(max(len(STATE_PALETTE), int(states.max()) + 1)) % 128
+    palette = np.repeat(gray, 3).reshape(-1, 3).astype(np.uint8)
+    palette[: len(STATE_PALETTE)] = STATE_PALETTE
+    rows, cols = states.shape
     with open(path, "wb") as fh:
         fh.write(f"P6\n{cols} {rows}\n255\n".encode())
-        fh.write(bytes(body))
+        fh.write(palette[states].tobytes())
 
 
-def _run_record(doc, seed, metrics, report, artifacts, wall_s) -> dict:
-    return {
-        "config": doc,
-        "seed": seed,
-        "tool_version": TOOL_VERSION,
-        "wall_time_s": wall_s,
-        "metrics": metrics.to_dict(),
-        "control": report.to_dict(),
-        "artifacts": {k: str(v) for k, v in artifacts.items()},
-    }
+def _synthesize(surface, cfg: dict, inputs: tuple, out: Path):
+    """Run the GA against the benchmark's ideal target, write best_config.csv,
+    history.csv and achieved_pattern.csv under ``out``, and score the best field
+    against the cached reference: ``(result, metrics, complexity_report)``."""
+    from .benchmarks import ideal_target_field, reference_pattern
+    from .control import complexity_report
+    from .field import write_field_csv
+    from .ga import run_ga
+    from .metrics import evaluate_all
+    from .surface import write_config_csv
+
+    src, grid, ga, bm = inputs
+    result = run_ga(surface, src, ideal_target_field(bm, grid), ga)
+    write_config_csv(result.best_config, out / "best_config.csv")
+    with open(out / "history.csv", "w") as fh:
+        fh.write("generation,best_fitness\n")
+        for g, f in enumerate(result.history, start=1):
+            fh.write(f"{g},{f:.9g}\n")
+    write_field_csv(result.best_field, out / "achieved_pattern.csv")
+
+    reference, _ = reference_pattern(bm, src, ga.seed, ga_params=ga, grid=grid)
+    metrics = evaluate_all(reference, result.best_field, bm)
+    return result, metrics, complexity_report(surface, **cfg.get("control", {}))
 
 
 def cmd_simulate(args) -> int:
@@ -205,47 +224,25 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    from .benchmarks import ideal_target_field, load_benchmark, reference_pattern
-    from .control import complexity_report
-    from .field import GridSpec, write_field_csv
-    from .ga import GAParams, run_ga
-    from .metrics import evaluate_all
-    from .surface import write_config_csv
-
     t0 = time.perf_counter()
     doc, cfg = _load_run_config(args)
     surface, _ = _resolve_surface(cfg)
-    src = _resolve_source(cfg)
-    grid = GridSpec(**cfg.get("grid", {}))
-    ga = GAParams(**cfg.get("ga", {}))
-    bm = load_benchmark(cfg.get("benchmark_ref", "B1"))
+    inputs = _run_inputs(cfg)
     out = _output_dir(cfg, args.out)
 
-    target = ideal_target_field(bm, grid)
-    result = run_ga(surface, src, target, ga)
-
-    config_csv = out / "best_config.csv"
-    history_csv = out / "history.csv"
-    pattern_csv = out / "achieved_pattern.csv"
-    record_json = out / "run_record.json"
-
-    write_config_csv(result.best_config, config_csv)
-    with open(history_csv, "w") as fh:
-        fh.write("generation,best_fitness\n")
-        for g, f in enumerate(result.history, start=1):
-            fh.write(f"{g},{f:.9g}\n")
-    write_field_csv(result.best_field, pattern_csv)
-
-    reference, _ = reference_pattern(bm, src, ga.seed, ga_params=ga, grid=grid)
-    metrics = evaluate_all(reference, result.best_field, bm)
-    report = complexity_report(surface, **cfg.get("control", {}))
-    record = _run_record(
-        doc, ga.seed, metrics, report,
-        {"best_config_csv": config_csv, "history_csv": history_csv,
-         "pattern_csv": pattern_csv, "record_json": record_json},
-        time.perf_counter() - t0,
-    )
-    record_json.write_text(json.dumps(record, indent=2) + "\n")
+    result, metrics, report = _synthesize(surface, cfg, inputs, out)
+    artifacts = {"best_config_csv": "best_config.csv", "history_csv": "history.csv",
+                 "pattern_csv": "achieved_pattern.csv", "record_json": "run_record.json"}
+    record = {
+        "config": doc,
+        "seed": inputs[2].seed,
+        "tool_version": TOOL_VERSION,
+        "wall_time_s": time.perf_counter() - t0,
+        "metrics": metrics.to_dict(),
+        "control": report.to_dict(),
+        "artifacts": {key: str(out / name) for key, name in artifacts.items()},
+    }
+    (out / "run_record.json").write_text(json.dumps(record, indent=2) + "\n")
     print(json.dumps({"best_fitness": result.best_fitness,
                       "evaluations": result.evaluations,
                       "metrics": metrics.to_dict()}, indent=2))
@@ -253,16 +250,12 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from .benchmarks import load_benchmark, reference_pattern
-    from .field import GridSpec, read_field_csv
-    from .ga import GAParams
+    from .benchmarks import reference_pattern
+    from .field import read_field_csv
     from .metrics import evaluate_all
 
     _, cfg = _load_run_config(args)
-    src = _resolve_source(cfg)
-    grid = GridSpec(**cfg.get("grid", {}))
-    ga = GAParams(**cfg.get("ga", {}))
-    bm = load_benchmark(cfg.get("benchmark_ref", "B1"))
+    src, grid, ga, bm = _run_inputs(cfg)
 
     achieved = read_field_csv(args.achieved)
     if args.reference:
@@ -279,21 +272,13 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep_grouping(args) -> int:
-    from .benchmarks import ideal_target_field, load_benchmark, reference_pattern
-    from .control import complexity_report
+    """``optimize`` once per group size, into ``g{G}/``, plus ``sweep.csv``."""
     from .errors import ConfigParseError
-    from .field import GridSpec, write_field_csv
-    from .ga import GAParams, run_ga
-    from .metrics import evaluate_all
-    from .surface import build_surface, write_config_csv
+    from .surface import build_surface
 
     _, cfg = _load_run_config(args)
     surface, _ = _resolve_surface(cfg)
-    src = _resolve_source(cfg)
-    grid = GridSpec(**cfg.get("grid", {}))
-    ga = GAParams(**cfg.get("ga", {}))
-    bm = load_benchmark(cfg.get("benchmark_ref", "B1"))
-    ctl = cfg.get("control", {})
+    inputs = _run_inputs(cfg)
     try:
         groups = [int(g) for g in args.groups.split(",")]
     except ValueError as exc:
@@ -303,18 +288,11 @@ def cmd_sweep_grouping(args) -> int:
                                   g, surface.pitch_m)[0]) for g in groups]
     out = _output_dir(cfg, args.out)
 
-    target = ideal_target_field(bm, grid)
-    reference, _ = reference_pattern(bm, src, ga.seed, ga_params=ga, grid=grid)
-
     rows = []
     for g, surf_g in surfaces:
-        result = run_ga(surf_g, src, target, ga)
-        metrics = evaluate_all(reference, result.best_field, bm)
         gdir = out / f"g{g}"
         gdir.mkdir(exist_ok=True)
-        write_config_csv(result.best_config, gdir / "best_config.csv")
-        write_field_csv(result.best_field, gdir / "achieved_pattern.csv")
-        report = complexity_report(surf_g, **ctl)
+        _, metrics, report = _synthesize(surf_g, cfg, inputs, gdir)
         rows.append((g, metrics.de, metrics.nmse, metrics.slr_db,
                      report.physical_paths, report.switching_rate_hz))
 

@@ -59,8 +59,7 @@ class GAResult:
 
 
 class _Objective:
-    """Fitness of a group-state chromosome, memoized by chromosome bytes
-    unless ``memoize`` is False.
+    """Fitness of a group-state chromosome.
 
     Equals ``-nmse(target, evaluator.field(config))`` exactly, because both
     take the field from the same ``front`` kernel; this skips only the
@@ -70,13 +69,11 @@ class _Objective:
     public metric.
     """
 
-    def __init__(self, surface: SurfaceSpec, src: SourceModel, target: FieldGrid,
-                 memoize: bool = True):
+    def __init__(self, surface: SurfaceSpec, src: SourceModel, target: FieldGrid):
         self.layout = group_layout(surface.rows_m, surface.cols_n, surface.group_size)
         self.n_states = surface.cell.n_states
         self.evaluator = FieldEvaluator(surface, src, target.grid)
         self.evaluations = 0
-        self._memo: dict[bytes, float] | None = {} if memoize else None
 
         t_mags = target.magnitude()
         t_peak = float(t_mags.max())
@@ -92,15 +89,6 @@ class _Objective:
         return expand_groups(chromosome, self.layout, self.n_states)
 
     def __call__(self, chromosome: np.ndarray) -> float:
-        if self._memo is None:
-            return self._score(chromosome)
-        key = chromosome.tobytes()
-        value = self._memo.get(key)
-        if value is None:
-            value = self._memo[key] = self._score(chromosome)
-        return value
-
-    def _score(self, chromosome: np.ndarray) -> float:
         mags = np.abs(self.evaluator.front(chromosome[self.layout.assignment]))
         peak = float(mags.max())
         if peak == 0.0:
@@ -127,9 +115,17 @@ def run_ga(surface: SurfaceSpec, src: SourceModel, target: FieldGrid,
     p_mut = (params.mutation_prob_per_gene
              if params.mutation_prob_per_gene is not None else 1.0 / n_genes)
 
+    memo: dict[bytes, float] = {}  # each distinct chromosome is scored once
+
+    def score(chromosome: np.ndarray) -> float:
+        key = chromosome.tobytes()
+        if key not in memo:
+            memo[key] = objective(chromosome)
+        return memo[key]
+
     rng = np.random.default_rng(params.seed)
     pop = rng.integers(0, n_states, size=(params.population, n_genes), dtype=np.int64)
-    fits = np.array([objective(ind) for ind in pop])
+    fits = np.array([score(ind) for ind in pop])
 
     def tournament() -> np.ndarray:
         idx = rng.integers(0, params.population, size=params.tournament_size)
@@ -155,7 +151,7 @@ def run_ga(surface: SurfaceSpec, src: SourceModel, target: FieldGrid,
                 child[mut] = rng.integers(0, n_states, size=int(mut.sum()))
             children[i] = child
 
-        child_fits = np.array([objective(ind) for ind in children])
+        child_fits = np.array([score(ind) for ind in children])
         pop = np.vstack([elites, children])
         fits = np.concatenate([elite_fits, child_fits])
         history.append(float(fits.max()))
@@ -185,7 +181,7 @@ def exhaustive_search(surface: SurfaceSpec, src: SourceModel,
             f"{n_states}^{surface.n_groups} = {total} configurations exceed "
             f"the {EXHAUSTIVE_GUARD} guard"
         )
-    objective = _Objective(surface, src, target, memoize=False)  # no chromosome repeats
+    objective = _Objective(surface, src, target)
     best_chromo = None
     best_fit = -np.inf
     for genes in itertools.product(range(n_states), repeat=surface.n_groups):

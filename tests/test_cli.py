@@ -50,6 +50,18 @@ BAD_CONFIGS = {
     "ga.generations_fraction": ("simulate", lambda doc, tmp: doc["ga"].update(generations=2.5)),
     "ga.seed_bool": ("simulate", lambda doc, tmp: doc["ga"].update(seed=True)),
     "control.pins_k_fraction": ("simulate", lambda doc, tmp: doc.update(control={"pins_k": 8.5})),
+    "grid.theta_step_bool": (
+        "simulate", lambda doc, tmp: doc["grid"].update(theta_step_deg=True)),
+    "pitch_mm_string": ("simulate", lambda doc, tmp: doc.update(pitch_mm="12")),
+    "steer_deg_bool": ("simulate", lambda doc, tmp: doc.update(steer_deg=True)),
+    "source.amplitude_nan_string": (
+        "simulate", lambda doc, tmp: doc["source"].update(amplitude="nan")),
+    "source.amplitude_nan_literal": (  # json.dumps writes a bare NaN
+        "simulate", lambda doc, tmp: doc["source"].update(amplitude=float("nan"))),
+    "source.amplitude_overflows": (  # an integer too large for a float
+        "simulate", lambda doc, tmp: doc["source"].update(amplitude=10 ** 400)),
+    "source.position_strings": ("simulate", lambda doc, tmp: doc["source"].update(
+        kind="point", position_m=["0", "0", "1"])),
     "truncated_benchmark": ("optimize", lambda doc, tmp: doc.update(
         benchmark_ref=_write(tmp, "bm.json", json.dumps({"id": "mine", "beams": [BEAM]})[:-9]))),
     "truncated_cell": ("simulate", lambda doc, tmp: doc.update(
@@ -97,6 +109,15 @@ class TestSimulate:
         assert data.startswith(b"P6\n2 2\n255\n")
         pixels = {tuple(data[-12:][i:i + 3]) for i in (0, 3, 6, 9)}
         assert pixels == {(0, 0, 255), (0, 255, 255)}
+
+    def test_eight_state_image_bytes(self, tmp_path):
+        # States past the four named colours take the gray ramp 64 + (37 s mod 128).
+        cfg = ConfigMatrix(states=np.arange(8).reshape(2, 4))
+        path = tmp_path / "c.ppm"
+        write_config_ppm(cfg, path)
+        assert path.read_bytes() == b"P6\n4 2\n255\n" + bytes(
+            [0, 0, 255, 0, 255, 255, 255, 255, 0, 255, 0, 0,
+             84, 84, 84, 121, 121, 121, 158, 158, 158, 67, 67, 67])
 
     def test_steer_config_option(self, run_config):
         cfg_path, tmp = run_config
@@ -285,6 +306,20 @@ class TestSweepGrouping:
         assert paths2 == paths1 // 2
         assert np.isclose(rate2, 2 * rate1)
 
+    def test_each_group_is_an_optimize_run(self, run_config):
+        # g{G}/ holds what optimize writes with group_size = G and the same seed.
+        cfg_path, tmp = run_config
+        assert main(["sweep-grouping", "--config", str(cfg_path), "--groups", "1,2"]) == 0
+        doc = json.loads(cfg_path.read_text())
+        for g in (1, 2):
+            doc["group_size"] = g
+            cfg_path.write_text(json.dumps(doc))
+            opt_dir = tmp / f"opt{g}"
+            assert main(["optimize", "--config", str(cfg_path), "--out", str(opt_dir)]) == 0
+            for name in ("best_config.csv", "history.csv", "achieved_pattern.csv"):
+                sweep_file = tmp / "out" / f"g{g}" / name
+                assert sweep_file.read_bytes() == (opt_dir / name).read_bytes(), name
+
     @pytest.mark.parametrize("groups", ["1,x", "0", "1,5"])
     def test_bad_groups_rejected_before_output(self, run_config, groups):
         # 5 does not divide the 6x6 surface; no group size may start a run.
@@ -295,14 +330,12 @@ class TestSweepGrouping:
 
 class TestConfigCsv:
     def test_round_trip(self, tmp_path):
-        from risbench.cli import read_config_csv
+        from risbench.surface import read_config_csv, write_config_csv
 
         rng = np.random.default_rng(2)
         cfg = ConfigMatrix(states=rng.integers(0, 4, size=(5, 9)))
         path = tmp_path / "cfg.csv"
         write_config_ppm(cfg, tmp_path / "cfg.ppm")  # smoke: palette handles 4 states
-        from risbench.cli import write_config_csv
-
         write_config_csv(cfg, path)
         back = read_config_csv(path)
         assert np.array_equal(back.states, cfg.states)
@@ -315,6 +348,14 @@ class TestImport:
                              "cli.build_parser().parse_args(['table1']); "
                              "print('numpy' in sys.modules)"])
         assert out.strip() == "False"
+
+    def test_every_export_resolves(self):
+        # perfbench and users import through the package's lazy export table:
+        # each name must come from the module that defines it.
+        for name in risbench.__all__:
+            obj = getattr(risbench, name)
+            assert obj.__name__ == name and obj.__module__.startswith("risbench."), name
+            assert getattr(sys.modules[obj.__module__], name) is obj, name
 
 
 class TestTable1:
