@@ -28,6 +28,7 @@ from .errors import (
     OverlappingLobes,
     RisBenchError,
     UnknownBenchmark,
+    json_number,
 )
 from .field import (
     FieldGrid,
@@ -102,10 +103,10 @@ def load_benchmark(id_or_path: str | Path) -> BenchmarkPattern:
     try:
         beams = tuple(
             BeamSpec(
-                signed_theta_deg=float(b["theta_deg"]),
-                rel_amplitude=float(b["amplitude"]),
-                lobe_start_deg=float(b["start_deg"]),
-                lobe_end_deg=float(b["end_deg"]),
+                signed_theta_deg=json_number(b["theta_deg"]),
+                rel_amplitude=json_number(b["amplitude"]),
+                lobe_start_deg=json_number(b["start_deg"]),
+                lobe_end_deg=json_number(b["end_deg"]),
             )
             for b in doc["beams"]
         )

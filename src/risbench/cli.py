@@ -15,45 +15,28 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
 from pathlib import Path
 
 from . import __version__ as TOOL_VERSION
+from .errors import ConfigParseError, IoError, RisBenchError, json_integer, json_number
 
 # Fig-style state palette: states 1..4 are blue, cyan, yellow, red.
 STATE_PALETTE = ((0, 0, 255), (0, 255, 255), (255, 255, 0), (255, 0, 0))
-
-
-def _number(value) -> float:
-    """A finite JSON number; float() would also take true, "12" and "nan".
-    The exact type test keeps booleans out (bool subclasses int)."""
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return float(value)
 
 
 def _floats(n: int):
     def convert(value) -> tuple[float, ...]:
         if len(value) != n:
             raise ValueError(f"expected {n} numbers, got {value!r}")
-        return tuple(_number(v) for v in value)
+        return tuple(json_number(v) for v in value)
     return convert
 
 
-def _optional_float(value) -> float | None:
-    return None if value is None else _number(value)
-
-
-def _integer(value) -> int:
-    """An integral JSON number; int() would truncate 6.9 and take true as 1."""
-    if type(value) is int:
-        return value  # exact, however large (ga.seed)
-    if not _number(value).is_integer():
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
+def _optional_number(value) -> float | None:
+    return None if value is None else json_number(value)
 
 
 # Every run-config key and how its value converts: None keeps the value as
@@ -61,21 +44,19 @@ def _integer(value) -> int:
 # gives are passed on, so each default stays with the code that takes it.
 RUN_CONFIG = {
     "surface_ref": None, "benchmark_ref": None, "config_ref": None, "output_dir": None,
-    "rows": _integer, "cols": _integer, "group_size": _integer, "pitch_mm": _optional_float,
-    "steer_deg": _optional_float,
-    "source": {"kind": None, "amplitude": _number, "incidence_deg": _floats(2),
+    "rows": json_integer, "cols": json_integer, "group_size": json_integer,
+    "pitch_mm": _optional_number, "steer_deg": _optional_number,
+    "source": {"kind": None, "amplitude": json_number, "incidence_deg": _floats(2),
                "position_m": _floats(3)},
-    "grid": {"theta_step_deg": _number, "phi_step_deg": _number},
-    "ga": {"population": _integer, "generations": _integer, "crossover_prob": _number,
-           "mutation_prob_per_gene": _optional_float, "elitism": _integer,
-           "tournament_size": _integer, "seed": _integer},
-    "control": {"pins_k": _integer, "tau_s": _number, "diode_power_w": _number},
+    "grid": {"theta_step_deg": json_number, "phi_step_deg": json_number},
+    "ga": {"population": json_integer, "generations": json_integer,
+           "crossover_prob": json_number, "mutation_prob_per_gene": _optional_number,
+           "elitism": json_integer, "tournament_size": json_integer, "seed": json_integer},
+    "control": {"pins_k": json_integer, "tau_s": json_number, "diode_power_w": json_number},
 }
 
 
 def _parse_section(values, schema: dict, where: str) -> dict:
-    from .errors import ConfigParseError
-
     if not isinstance(values, dict):
         raise ConfigParseError(f"{where} must be a JSON object, got {values!r}")
     unknown = set(values) - set(schema)
@@ -89,7 +70,7 @@ def _parse_section(values, schema: dict, where: str) -> dict:
             continue
         try:
             parsed[key] = value if rule is None else rule(value)
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigParseError(f"bad {where} {key} {value!r}: {exc}") from exc
     return parsed
 
@@ -108,7 +89,6 @@ def _load_run_config(args) -> tuple[dict, dict]:
 
 def _resolve_surface(cfg: dict):
     """Surface from a bundled cell id, a cell file, or a surface document."""
-    from .errors import ConfigParseError
     from .surface import (CELL_DOCUMENTS, build_surface, cell_from_document,
                           read_json_document, surface_from_document)
 
@@ -147,8 +127,6 @@ def _run_inputs(cfg: dict) -> tuple:
 
 
 def _output_dir(cfg: dict, out_flag: str | None) -> Path:
-    from .errors import IoError
-
     out = Path(out_flag) if out_flag else Path(cfg.get("output_dir", "runs/out"))
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -172,12 +150,11 @@ def write_config_ppm(config, path: Path) -> None:
         fh.write(palette[states].tobytes())
 
 
-def _synthesize(surface, cfg: dict, inputs: tuple, out: Path):
+def _synthesize(surface, inputs: tuple, out: Path):
     """Run the GA against the benchmark's ideal target, write best_config.csv,
     history.csv and achieved_pattern.csv under ``out``, and score the best field
-    against the cached reference: ``(result, metrics, complexity_report)``."""
+    against the cached reference: ``(result, metrics)``."""
     from .benchmarks import ideal_target_field, reference_pattern
-    from .control import complexity_report
     from .field import write_field_csv
     from .ga import run_ga
     from .metrics import evaluate_all
@@ -193,8 +170,7 @@ def _synthesize(surface, cfg: dict, inputs: tuple, out: Path):
     write_field_csv(result.best_field, out / "achieved_pattern.csv")
 
     reference, _ = reference_pattern(bm, src, ga.seed, ga_params=ga, grid=grid)
-    metrics = evaluate_all(reference, result.best_field, bm)
-    return result, metrics, complexity_report(surface, **cfg.get("control", {}))
+    return result, evaluate_all(reference, result.best_field, bm)
 
 
 def cmd_simulate(args) -> int:
@@ -205,16 +181,15 @@ def cmd_simulate(args) -> int:
     surface, _ = _resolve_surface(cfg)
     src = _resolve_source(cfg)
     grid = GridSpec(**cfg.get("grid", {}))
-    out = _output_dir(cfg, args.out)
-
     if cfg.get("config_ref"):
         config = read_config_csv(Path(cfg["config_ref"]))
     elif cfg.get("steer_deg") is not None:
         config = steering_config(surface, cfg["steer_deg"])
     else:
         config = uniform_config(surface)
-
     gridval = FieldEvaluator(surface, src, grid).field(config)
+    out = _output_dir(cfg, args.out)
+
     pattern_csv = out / "pattern.csv"
     config_ppm = out / "config.ppm"
     write_field_csv(gridval, pattern_csv)
@@ -224,13 +199,16 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    from .control import complexity_report
+
     t0 = time.perf_counter()
     doc, cfg = _load_run_config(args)
     surface, _ = _resolve_surface(cfg)
     inputs = _run_inputs(cfg)
+    report = complexity_report(surface, **cfg.get("control", {}))
     out = _output_dir(cfg, args.out)
 
-    result, metrics, report = _synthesize(surface, cfg, inputs, out)
+    result, metrics = _synthesize(surface, inputs, out)
     artifacts = {"best_config_csv": "best_config.csv", "history_csv": "history.csv",
                  "pattern_csv": "achieved_pattern.csv", "record_json": "run_record.json"}
     record = {
@@ -273,7 +251,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep_grouping(args) -> int:
     """``optimize`` once per group size, into ``g{G}/``, plus ``sweep.csv``."""
-    from .errors import ConfigParseError
+    from .control import complexity_report
     from .surface import build_surface
 
     _, cfg = _load_run_config(args)
@@ -283,16 +261,17 @@ def cmd_sweep_grouping(args) -> int:
         groups = [int(g) for g in args.groups.split(",")]
     except ValueError as exc:
         raise ConfigParseError(f"bad --groups {args.groups!r}: {exc}") from exc
-    # Every group size is checked against the surface before anything is written.
-    surfaces = [(g, build_surface(surface.cell, surface.rows_m, surface.cols_n,
-                                  g, surface.pitch_m)[0]) for g in groups]
+    # Every group size and its control figures are checked before anything is written.
+    surfaces = [build_surface(surface.cell, surface.rows_m, surface.cols_n,
+                              g, surface.pitch_m)[0] for g in groups]
+    reports = [complexity_report(surf_g, **cfg.get("control", {})) for surf_g in surfaces]
     out = _output_dir(cfg, args.out)
 
     rows = []
-    for g, surf_g in surfaces:
+    for g, surf_g, report in zip(groups, surfaces, reports):
         gdir = out / f"g{g}"
         gdir.mkdir(exist_ok=True)
-        _, metrics, report = _synthesize(surf_g, cfg, inputs, gdir)
+        _, metrics = _synthesize(surf_g, inputs, gdir)
         rows.append((g, metrics.de, metrics.nmse, metrics.slr_db,
                      report.physical_paths, report.switching_rate_hz))
 
@@ -394,8 +373,6 @@ def main(argv=None) -> int:
         # Must land before numpy loads its BLAS; handlers import lazily.
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(args.threads)
-
-    from .errors import RisBenchError
 
     try:
         return _HANDLERS[args.command](args)

@@ -8,6 +8,7 @@ lattice, so it depends only on the cell design and its frequency.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import GroupSizeMismatch, NonPositiveParam
@@ -50,37 +51,37 @@ def physical_paths(rows_m: int, cols_n: int, n_bits: int, group_size: int) -> in
     return cells * n_bits // group_size
 
 
+def _check_positive(**values) -> None:
+    for name, v in values.items():
+        if not 0 < v < math.inf:  # also rejects NaN
+            raise NonPositiveParam(f"{name} must be positive and finite, got {v}")
+
+
 def switching_rate(group_size: int, pins_k: int, rows_m: int, cols_n: int,
                    n_bits: int, tau_s: float) -> float:
     """Function-switching rate G*K / (M*N*n*tau) in Hz."""
-    for name, v in (("group_size", group_size), ("pins_k", pins_k), ("rows_m", rows_m),
-                    ("cols_n", cols_n), ("n_bits", n_bits), ("tau_s", tau_s)):
-        if v <= 0:
-            raise NonPositiveParam(f"{name} must be positive, got {v}")
+    _check_positive(group_size=group_size, pins_k=pins_k, rows_m=rows_m, cols_n=cols_n,
+                    n_bits=n_bits, tau_s=tau_s)
     return group_size * pins_k / (rows_m * cols_n * n_bits * tau_s)
 
 
 def max_power(n_diodes: int, rows_m: int, cols_n: int, diode_power_w: float) -> float:
     """Worst-case supply power d*M*N*P_D with every diode forward-biased."""
-    for name, v in (("n_diodes", n_diodes), ("rows_m", rows_m),
-                    ("cols_n", cols_n), ("diode_power_w", diode_power_w)):
-        if v <= 0:
-            raise NonPositiveParam(f"{name} must be positive, got {v}")
+    _check_positive(n_diodes=n_diodes, rows_m=rows_m, cols_n=cols_n,
+                    diode_power_w=diode_power_w)
     return n_diodes * rows_m * cols_n * diode_power_w
 
 
 def half_wavelength_cell_area(design_freq_hz: float) -> float:
     """Lattice cell area (lambda/2)^2 at the design frequency."""
-    if design_freq_hz <= 0:
-        raise NonPositiveParam(f"design frequency must be positive, got {design_freq_hz}")
+    _check_positive(design_freq_hz=design_freq_hz)
     pitch = SPEED_OF_LIGHT / (2.0 * design_freq_hz)
     return pitch * pitch
 
 
 def power_per_area(n_diodes: int, diode_power_w: float, design_freq_hz: float) -> float:
     """Supply power per square meter, d*P_D / (lambda/2)^2."""
-    if n_diodes <= 0 or diode_power_w <= 0:
-        raise NonPositiveParam("diode count and diode power must be positive")
+    _check_positive(n_diodes=n_diodes, diode_power_w=diode_power_w)
     return n_diodes * diode_power_w / half_wavelength_cell_area(design_freq_hz)
 
 

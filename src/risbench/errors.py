@@ -1,11 +1,15 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the number rules of every input document.
 
 Three families map onto the CLI exit codes: configuration/validation
 problems (exit 2), numeric or domain failures (exit 3), and I/O failures
-(exit 4).
+(exit 4).  ``json_number`` and ``json_integer`` are the one number rule of the
+run config and of cell, surface and benchmark documents: every parser imports
+this module, and it loads no numpy before ``--threads`` takes effect.
 """
 
 from __future__ import annotations
+
+import sys
 
 
 class RisBenchError(Exception):
@@ -110,3 +114,23 @@ class SearchSpaceTooLarge(DomainError):
 
 class ConfigParseError(ConfigError):
     """Run-configuration file missing, unreadable, or malformed."""
+
+
+# -- number rules: both raise only ValueError ---------------------------------
+
+def json_number(value) -> float:
+    """A finite JSON number; float() would also take true, "12" and "nan".
+    The exact type test keeps booleans out (bool subclasses int), and the
+    bound keeps out NaN, infinities and integers too large for a float."""
+    if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ValueError(f"expected a finite number, got {value!r}")
+
+
+def json_integer(value) -> int:
+    """An integral JSON number; int() would truncate 6.9 and take true as 1."""
+    if type(value) is int:
+        return value  # exact, however large (ga.seed)
+    if not json_number(value).is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)

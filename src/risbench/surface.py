@@ -30,6 +30,7 @@ from .errors import (
     LengthMismatch,
     NonPositiveParam,
 )
+from .errors import json_integer, json_number
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -291,6 +292,8 @@ def near_field_boundary(aperture_diameter_m: float, wavelength_m: float) -> floa
 # Cell document:    {id, n_bits, n_diodes, states: [{mag, phase_deg}], q,
 #                    width_mm, height_mm, freq_ghz}
 # Surface document: {cell_id, M, N, G?, pitch_mm?}
+# n_bits, n_diodes, M, N and G are integers (json_integer); the other numeric
+# keys are numbers (json_number).  Both reject booleans, strings and NaN.
 
 CELL_DOCUMENTS = ("cells", BUNDLED_CELL_IDS)
 
@@ -326,18 +329,18 @@ def cell_from_document(doc: dict, origin: str) -> UnitCellSpec:
     """Validated cell from a parsed cell document."""
     try:
         states = tuple(
-            ReflectionState(gamma_mag=float(s["mag"]), gamma_phase_deg=float(s["phase_deg"]))
+            ReflectionState(json_number(s["mag"]), json_number(s["phase_deg"]))
             for s in doc["states"]
         )
         cell = UnitCellSpec(
             id=str(doc["id"]),
-            n_bits=int(doc["n_bits"]),
-            n_diodes=int(doc["n_diodes"]),
+            n_bits=json_integer(doc["n_bits"]),
+            n_diodes=json_integer(doc["n_diodes"]),
             states=states,
-            q_exponent=float(doc["q"]),
-            width_m=float(doc["width_mm"]) * 1e-3,
-            height_m=float(doc["height_mm"]) * 1e-3,
-            design_freq_hz=float(doc["freq_ghz"]) * 1e9,
+            q_exponent=json_number(doc["q"]),
+            width_m=json_number(doc["width_mm"]) * 1e-3,
+            height_m=json_number(doc["height_mm"]) * 1e-3,
+            design_freq_hz=json_number(doc["freq_ghz"]) * 1e9,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigParseError(f"malformed cell document {origin}: {exc}") from exc
@@ -349,10 +352,10 @@ def surface_from_document(doc: dict, path: Path) -> tuple[SurfaceSpec, GroupLayo
     naming a file next to the document is read from there."""
     try:
         cell_ref = str(doc["cell_id"])
-        rows, cols = int(doc["M"]), int(doc["N"])
-        group = int(doc.get("G", 1))
+        rows, cols = json_integer(doc["M"]), json_integer(doc["N"])
+        group = json_integer(doc.get("G", 1))
         pitch = doc.get("pitch_mm")
-        pitch_m = None if pitch is None else float(pitch) * 1e-3
+        pitch_m = None if pitch is None else json_number(pitch) * 1e-3
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigParseError(f"malformed surface document {path}: {exc}") from exc
     sibling = path.parent / cell_ref

@@ -31,6 +31,27 @@ def _write(tmp, name, text):
 
 
 BEAM = {"theta_deg": 20.0, "amplitude": 1.0, "start_deg": 14.0, "end_deg": 26.0}
+CELL = {"id": "S9", "n_bits": 1, "n_diodes": 1, "q": 3.0, "width_mm": 5.8, "height_mm": 4.9,
+        "freq_ghz": 11.1, "states": [{"mag": 0.95, "phase_deg": 0.0},
+                                     {"mag": 0.92, "phase_deg": 180.0}]}
+
+
+def _cell(doc, tmp, **edit):
+    doc["surface_ref"] = _write(tmp, "cell.json", json.dumps({**CELL, **edit}))
+
+
+def _surface(doc, tmp, **edit):
+    """A surface document sets M, N and G only where the run config does not."""
+    for key in ("rows", "cols", "group_size"):
+        del doc[key]
+    surf = {"cell_id": "S1", "M": 6, "N": 6, **edit}
+    doc["surface_ref"] = _write(tmp, "surf.json", json.dumps(surf))
+
+
+def _beam(doc, tmp, **edit):
+    bm = {"id": "mine", "beams": [{**BEAM, **edit}]}
+    doc["benchmark_ref"] = _write(tmp, "bm.json", json.dumps(bm))
+
 
 # Run configs that must stop with a configuration error (exit 2) before any
 # output: (subcommand, edit of the valid run-config document).
@@ -68,6 +89,23 @@ BAD_CONFIGS = {
         surface_ref=_write(tmp, "cell.json", '{"id": "S9", "n_bits": 1, "st'))),
     "benchmark_id_escapes_cache": ("optimize", lambda doc, tmp: doc.update(
         benchmark_ref=_write(tmp, "esc.json", json.dumps({"id": "../escaped", "beams": [BEAM]})))),
+    "cell.n_bits_fraction": ("simulate", lambda doc, tmp: _cell(doc, tmp, n_bits=1.9)),
+    "cell.freq_ghz_string": ("simulate", lambda doc, tmp: _cell(doc, tmp, freq_ghz="11.1")),
+    "cell.n_diodes_bool": ("simulate", lambda doc, tmp: _cell(doc, tmp, n_diodes=True)),
+    "cell.state_mag_string": ("simulate", lambda doc, tmp: _cell(doc, tmp, states=[
+        {"mag": "0.9", "phase_deg": 0.0}, {"mag": 0.92, "phase_deg": 180.0}])),
+    "cell.q_overflows": ("simulate", lambda doc, tmp: _cell(doc, tmp, q=10 ** 400)),
+    "surface.M_fraction": ("simulate", lambda doc, tmp: _surface(doc, tmp, M=6.9)),
+    "surface.G_bool": ("simulate", lambda doc, tmp: _surface(doc, tmp, G=True)),
+    "beam.amplitude_bool": ("optimize", lambda doc, tmp: _beam(doc, tmp, amplitude=True)),
+    "beam.theta_deg_string": ("optimize", lambda doc, tmp: _beam(doc, tmp, theta_deg="20")),
+    "control.pins_k_zero": ("optimize", lambda doc, tmp: doc.update(control={"pins_k": 0})),
+    "control.pins_k_zero_sweep": (
+        "sweep-grouping", lambda doc, tmp: doc.update(control={"pins_k": 0})),
+    "config_ref_malformed": ("simulate", lambda doc, tmp: doc.update(
+        config_ref=_write(tmp, "cfg.csv", "0,1,0,1,0,1\n" * 5 + "a,1,0,1,0,1\n"))),
+    "config_ref_wrong_shape": ("simulate", lambda doc, tmp: doc.update(
+        config_ref=_write(tmp, "cfg.csv", "0,1,0,1,0\n" * 6))),
 }
 
 
@@ -139,12 +177,17 @@ class TestSimulate:
         assert not (tmp / "cache").exists() and not (tmp / "out").exists()
 
     def test_integral_float_is_an_integer(self, run_config):
+        # in the run config, a cell document and a surface document alike
         cfg_path, tmp = run_config
         doc = json.loads(cfg_path.read_text())
         doc.update(rows=6.0, cols=4.0)
-        cfg_path.write_text(json.dumps(doc))
-        assert main(["simulate", "--config", str(cfg_path)]) == 0
-        assert (tmp / "out" / "config.ppm").read_bytes().startswith(b"P6\n4 6\n")
+        edits = (lambda: None, lambda: _cell(doc, tmp, n_bits=1.0),
+                 lambda: _surface(doc, tmp, M=6.0, N=4))
+        for edit in edits:
+            edit()
+            cfg_path.write_text(json.dumps(doc))
+            assert main(["simulate", "--config", str(cfg_path)]) == 0
+            assert (tmp / "out" / "config.ppm").read_bytes().startswith(b"P6\n4 6\n")
 
     def test_run_config_overrides_surface_document(self, run_config):
         # The run config's rows, cols, group_size and pitch_mm replace the

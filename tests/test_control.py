@@ -58,6 +58,13 @@ class TestSwitchingRate:
     def test_nonpositive(self):
         with pytest.raises(NonPositiveParam):
             switching_rate(1, 40, 40, 40, 2, 0.0)
+        for bad in (math.nan, math.inf):  # both pass a `v <= 0` test
+            for call in (lambda: switching_rate(1, 40, 40, 40, 2, bad),
+                         lambda: max_power(5, 40, 40, bad),
+                         lambda: power_per_area(5, bad, 10e9),
+                         lambda: half_wavelength_cell_area(bad)):
+                with pytest.raises(NonPositiveParam):
+                    call()
 
 
 class TestMaxPower:
