@@ -31,9 +31,11 @@ from .errors import (
     json_number,
 )
 from .field import (
+    PHI_BAND_DEG,
     FieldGrid,
     GridSpec,
     SourceModel,
+    phi_distance,
     read_field_csv,
     write_field_csv,
 )
@@ -115,11 +117,8 @@ def load_benchmark(id_or_path: str | Path) -> BenchmarkPattern:
         raise ConfigParseError(f"malformed benchmark document {id_or_path}: {exc}") from exc
 
 
-DEFAULT_TARGET_PHI_BAND_DEG = 5.0
-
-
 def ideal_target_field(bm: BenchmarkPattern, grid: GridSpec | None = None,
-                       phi_band_deg: float = DEFAULT_TARGET_PHI_BAND_DEG) -> FieldGrid:
+                       phi_band_deg: float = PHI_BAND_DEG) -> FieldGrid:
     """Ideal magnitude grid: one raised-cosine lobe per beam, zero elsewhere.
 
     Each beam contributes rel_amplitude * cos(pi * (s - theta_c) / w)**2 over
@@ -136,9 +135,8 @@ def ideal_target_field(bm: BenchmarkPattern, grid: GridSpec | None = None,
     phi = grid.phi_deg()
     values = np.zeros((theta.size, phi.size))
 
-    front = theta[theta <= 90.0]
-    wrap = np.minimum(np.abs(phi % 360.0), 360.0 - (phi % 360.0))
-    phi_off = {0.0: wrap, 180.0: np.abs(phi - 180.0)}
+    front = theta[: grid.front_rows]
+    phi_off = {plane: phi_distance(phi, plane) for plane in (0.0, 180.0)}
     for beam in bm.beams:
         width = beam.lobe_end_deg - beam.lobe_start_deg
         for signed, plane, row_off in ((front, 0.0, 0), (-front[1:], 180.0, 1)):
@@ -174,13 +172,10 @@ def _cache_hash(bm: BenchmarkPattern, cell: UnitCellSpec, src: SourceModel,
         "beams": [dataclasses.astuple(b) for b in bm.beams],
         "cell": dataclasses.asdict(cell),
         "version": __version__,
-        "src": [src.kind, src.amplitude, src.position_m, src.incidence_deg],
-        "grid": [grid.theta_step_deg, grid.phi_step_deg],
-        "ga": [
-            ga_params.population, ga_params.generations, ga_params.crossover_prob,
-            ga_params.mutation_prob_per_gene, ga_params.elitism,
-            ga_params.tournament_size,
-        ],
+        "src": dataclasses.astuple(src),
+        "grid": dataclasses.astuple(grid),
+        "ga": [getattr(ga_params, f.name) for f in dataclasses.fields(ga_params)
+               if f.name != "seed"],  # the seed is in the file name
     }
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:12]
 
@@ -192,7 +187,7 @@ def default_cache_dir() -> Path:
 
 def _read_reference(field_path: Path, config_path: Path, surface: SurfaceSpec,
                     grid: GridSpec) -> tuple[FieldGrid, ConfigMatrix]:
-    gridval = read_field_csv(field_path, wavelength_m=surface.cell.wavelength_m)
+    gridval = read_field_csv(field_path)
     if gridval.grid != grid:
         raise GridMismatch(f"cached reference {field_path} is on {gridval.grid}")
     return gridval, validate_config(surface, read_config_csv(config_path))

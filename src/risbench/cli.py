@@ -21,7 +21,8 @@ import time
 from pathlib import Path
 
 from . import __version__ as TOOL_VERSION
-from .errors import ConfigParseError, IoError, RisBenchError, json_integer, json_number
+from .errors import (ConfigParseError, GridMismatch, IoError, RisBenchError, json_integer,
+                     json_number)
 
 # Fig-style state palette: states 1..4 are blue, cyan, yellow, red.
 STATE_PALETTE = ((0, 0, 255), (0, 255, 255), (255, 255, 0), (255, 0, 0))
@@ -238,6 +239,8 @@ def cmd_evaluate(args) -> int:
     achieved = read_field_csv(args.achieved)
     if args.reference:
         reference = read_field_csv(args.reference)
+    elif achieved.grid != grid:  # checked before the reference GA runs and is cached
+        raise GridMismatch(f"achieved pattern is on {achieved.grid}, the run config on {grid}")
     else:
         reference, _ = reference_pattern(bm, src, ga.seed, ga_params=ga, grid=grid)
     metrics = evaluate_all(reference, achieved, bm)

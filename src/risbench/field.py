@@ -18,6 +18,11 @@ one real GEMM with a quarter of the multiply-adds of the complex direct
 sum.  The result matches the direct sum to 1e-12 of the peak magnitude
 (tested), not bit for bit; repeated evaluations of one configuration on
 one build are identical.
+
+Each grid rule the other modules apply lives here once: the front rows
+(``GridSpec.front_rows``), azimuth distance (``phi_distance``), the lobe
+band (``PHI_BAND_DEG``), peak scaling (``peak_magnitude``) and the aperture
+phase shared by planewave incidence and beam steering (``aperture_phase``).
 """
 
 from __future__ import annotations
@@ -104,6 +109,11 @@ class GridSpec:
     def n_points(self) -> int:
         return math.prod(self.shape)
 
+    @property
+    def front_rows(self) -> int:
+        """Leading theta rows of the front hemisphere, theta = 0 up to 90 deg."""
+        return self.shape[0] // 2 + 1
+
 
 @dataclass(frozen=True)
 class FieldGrid:
@@ -111,7 +121,6 @@ class FieldGrid:
 
     values: np.ndarray
     grid: GridSpec
-    wavelength_m: float = math.nan
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -136,6 +145,31 @@ class PrincipalCut:
     def __post_init__(self):
         self.signed_theta_deg.setflags(write=False)
         self.magnitude.setflags(write=False)
+
+
+PHI_BAND_DEG = 5.0  # lobes span this much azimuth either side of their phi plane
+
+
+def phi_distance(phi: np.ndarray | float, center: float) -> np.ndarray | float:
+    """Circular azimuth distance in degrees, in [0, 180]."""
+    d = np.abs((phi - center) % 360.0)
+    return np.minimum(d, 360.0 - d)
+
+
+def peak_magnitude(values: np.ndarray) -> float:
+    """Largest |value|, the scale every peak-normalized comparison divides by."""
+    peak = float(np.max(np.abs(values)))
+    if peak == 0.0:
+        raise AllZeroField("cannot normalize an identically zero field")
+    return peak
+
+
+def aperture_phase(surface: SurfaceSpec, theta_deg: float, phi_deg: float) -> np.ndarray:
+    """(M, N) phase k (x sin t cos p + y sin t sin p) of a plane wave along (t, p)."""
+    k = 2.0 * math.pi / surface.cell.wavelength_m
+    t, p = math.radians(theta_deg), math.radians(phi_deg)
+    return k * (surface.cell_x()[None, :] * math.sin(t) * math.cos(p)
+                + surface.cell_y()[:, None] * math.sin(t) * math.sin(p))
 
 
 def radiation_factor(q: float, theta_rad) -> np.ndarray | float:
@@ -164,17 +198,12 @@ class FieldEvaluator:
 
     def __init__(self, surface: SurfaceSpec, src: SourceModel, grid: GridSpec):
         self.surface = surface
-        self.src = src
         self.grid = grid
-        self.wavelength_m = surface.cell.wavelength_m
-        k = 2.0 * math.pi / self.wavelength_m
+        k = 2.0 * math.pi / surface.cell.wavelength_m
 
-        theta = np.radians(grid.theta_deg())
-        front = grid.theta_deg() <= 90.0
-        th = theta[front]
+        th = np.radians(grid.theta_deg()[: grid.front_rows])
         self._n_phi = grid.shape[1]
-        self._n_theta = th.size
-        self.front_size = th.size * self._n_phi  # leading rows of the flat grid
+        self.front_size = grid.front_rows * self._n_phi  # leading part of the flat grid
 
         # Direction cosines of the half grid phi_j, j = 0..n_phi//2, flattened
         # theta-major; column n_phi - j mirrors column j (same u, v negated).
@@ -194,11 +223,9 @@ class FieldEvaluator:
 
         q = surface.cell.q_exponent
         if src.kind == "planewave":
-            ti, pi_ = np.radians(src.incidence_deg)
             # Incident phase advance across the aperture; zero at normal incidence.
-            inc = k * (x[None, :] * math.sin(ti) * math.cos(pi_)
-                       + y[:, None] * math.sin(ti) * math.sin(pi_))
-            self._cell_factor = np.exp(1j * inc)
+            self._cell_factor = np.exp(1j * aperture_phase(surface, *src.incidence_deg))
+            ti = math.radians(src.incidence_deg[0])
             # Incident-side response at the incidence angle times the
             # re-radiation response toward the observer.  This is the exact
             # far-source limit of the point-source model, which the two
@@ -235,13 +262,13 @@ class FieldEvaluator:
         folded = np.concatenate([w[:, : n - half], 1j * (w[:, :half] - mirror)], axis=1)
         folded[:, :half] += mirror  # an odd N's middle column stays alone
         p = (np.concatenate([folded.real, folded.imag]) @ self._steer_x).reshape(2, m, -1)
-        n_th, n_phi = self._n_theta, self._n_phi
+        n_phi = self._n_phi
         # (re + j im) (cos + j sin) summed over m, at +v and at -v (the mirror).
-        sums = np.einsum("aml,bml->bal", p, self._steer_y).reshape(2, 2, n_th, -1)
+        sums = np.einsum("aml,bml->bal", p, self._steer_y).reshape(2, 2, -1, n_phi // 2 + 1)
         (re_cos, im_cos), (re_sin, im_sin) = sums
 
         n_mirror = (n_phi - 1) // 2  # column n_phi - j mirrors column j, j = 1..n_mirror
-        out = np.empty((n_th, n_phi), dtype=complex)
+        out = np.empty((re_cos.shape[0], n_phi), dtype=complex)
         out.real[:, : n_phi // 2 + 1] = re_cos - im_sin
         out.imag[:, : n_phi // 2 + 1] = re_sin + im_cos
         out.real[:, n_phi - n_mirror:] = (re_cos + im_sin)[:, n_mirror:0:-1]
@@ -253,8 +280,7 @@ class FieldEvaluator:
         validate_config(self.surface, config)
         values = np.zeros(self.grid.n_points, dtype=complex)
         values[: self.front_size] = self.front(config.states)
-        return FieldGrid(values=values.reshape(self.grid.shape), grid=self.grid,
-                         wavelength_m=self.wavelength_m)
+        return FieldGrid(values=values.reshape(self.grid.shape), grid=self.grid)
 
 
 def field_planewave(surface: SurfaceSpec, config: ConfigMatrix, src: SourceModel,
@@ -274,8 +300,7 @@ def field_point_source(surface: SurfaceSpec, config: ConfigMatrix, src: SourceMo
 
 
 def _column_index(grid: GridSpec, phi_value: float) -> int:
-    phi = grid.phi_deg()
-    hits = np.nonzero(np.abs(phi - phi_value) < 1e-9)[0]
+    hits = np.nonzero(phi_distance(grid.phi_deg(), phi_value) < 1e-9)[0]
     if hits.size == 0:
         raise GridMissingPlane(f"grid has no phi = {phi_value} column")
     return int(hits[0])
@@ -286,7 +311,7 @@ def principal_cut(gridval: FieldGrid) -> PrincipalCut:
     col0 = _column_index(gridval.grid, 0.0)
     col180 = _column_index(gridval.grid, 180.0)
     step = gridval.grid.theta_step_deg
-    k_max = int(math.floor(90.0 / step + 1e-9))
+    k_max = gridval.grid.front_rows - 1
     mags = gridval.magnitude()
     pos = mags[: k_max + 1, col0]
     neg = mags[k_max:0:-1, col180]
@@ -297,11 +322,7 @@ def principal_cut(gridval: FieldGrid) -> PrincipalCut:
 
 def normalize_grid(gridval: FieldGrid) -> FieldGrid:
     """Scale so the peak magnitude is exactly 1; phases are untouched."""
-    peak = float(np.max(np.abs(gridval.values)))
-    if peak == 0.0:
-        raise AllZeroField("cannot normalize an identically zero field")
-    return FieldGrid(values=gridval.values / peak, grid=gridval.grid,
-                     wavelength_m=gridval.wavelength_m)
+    return FieldGrid(values=gridval.values / peak_magnitude(gridval.values), grid=gridval.grid)
 
 
 def steering_config(surface: SurfaceSpec, theta_deg: float, phi_deg: float = 0.0) -> ConfigMatrix:
@@ -310,12 +331,7 @@ def steering_config(surface: SurfaceSpec, theta_deg: float, phi_deg: float = 0.0
     Each cell gets the state whose phase is circularly closest to the ideal
     continuous profile for a beam at (theta, phi).
     """
-    k = 2.0 * math.pi / surface.cell.wavelength_m
-    t, p = math.radians(theta_deg), math.radians(phi_deg)
-    x = surface.cell_x()
-    y = surface.cell_y()
-    desired = -k * (x[None, :] * math.sin(t) * math.cos(p)
-                    + y[:, None] * math.sin(t) * math.sin(p))
+    desired = -aperture_phase(surface, theta_deg, phi_deg)
     state_ph = np.radians([s.gamma_phase_deg for s in surface.cell.states])
     diff = desired[:, :, None] - state_ph[None, None, :]
     dist = np.abs((diff + math.pi) % (2.0 * math.pi) - math.pi)
@@ -348,7 +364,7 @@ def write_field_csv(gridval: FieldGrid, path: str | Path) -> None:
         raise IoError(f"cannot write field CSV {path}: {exc}") from exc
 
 
-def read_field_csv(path: str | Path, wavelength_m: float = math.nan) -> FieldGrid:
+def read_field_csv(path: str | Path) -> FieldGrid:
     path = Path(path)
     try:
         raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
@@ -369,4 +385,4 @@ def read_field_csv(path: str | Path, wavelength_m: float = math.nan) -> FieldGri
                       "at even steps")
     order = np.lexsort((raw[:, 1], raw[:, 0]))
     values = (raw[order, 2] + 1j * raw[order, 3]).reshape(theta.size, phi.size)
-    return FieldGrid(values=values, grid=grid, wavelength_m=wavelength_m)
+    return FieldGrid(values=values, grid=grid)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllZeroField, NonPositiveParam, SearchSpaceTooLarge
-from .field import FieldEvaluator, FieldGrid, SourceModel
+from .errors import NonPositiveParam, SearchSpaceTooLarge
+from .field import FieldEvaluator, FieldGrid, SourceModel, peak_magnitude
 from .metrics import nmse
 from .surface import ConfigMatrix, SurfaceSpec, expand_groups, group_layout
 
@@ -90,9 +90,7 @@ class _Objective:
 
     def __call__(self, chromosome: np.ndarray) -> float:
         mags = np.abs(self.evaluator.front(chromosome[self.layout.assignment]))
-        peak = float(mags.max())
-        if peak == 0.0:
-            raise AllZeroField("achieved field is identically zero")
+        peak = peak_magnitude(mags)
         np.subtract(self._t_norm_front, mags / peak, out=self._diff[: mags.size])
         self.evaluations += 1
         return -float(np.mean(self._diff * self._diff))

@@ -22,7 +22,8 @@ from .errors import (
     GridMismatch,
     ZeroReferenceDirectivity,
 )
-from .field import FieldGrid, PrincipalCut, principal_cut
+from .field import (PHI_BAND_DEG, FieldGrid, PrincipalCut, peak_magnitude, phi_distance,
+                    principal_cut)
 
 NO_SIDE_LOBE_DB = 99.0   # sentinel when no lobe exists outside the intended regions
 ZERO_INTENDED_DB = -99.0  # sentinel when the intended region carries no power
@@ -64,13 +65,8 @@ class MetricsReport:
         }
 
 
-def _phi_distance(phi: np.ndarray, center: float) -> np.ndarray:
-    d = np.abs((phi - center) % 360.0)
-    return np.minimum(d, 360.0 - d)
-
-
 def directivity_over_region(gridval: FieldGrid, region: LobeRegion,
-                            phi_plane_deg: float, phi_band_deg: float = 5.0) -> float:
+                            phi_plane_deg: float, phi_band_deg: float = PHI_BAND_DEG) -> float:
     """Integrated power |E|^2 sin(theta) dtheta dphi over one lobe region.
 
     The region lives on the signed principal-cut axis; ``phi_plane_deg``
@@ -82,7 +78,7 @@ def directivity_over_region(gridval: FieldGrid, region: LobeRegion,
     if not (-90.0 <= region.start_deg and region.end_deg <= 90.0):
         raise EmptyRegion(f"region [{region.start_deg}, {region.end_deg}] "
                           "extends beyond the +-90 degree cut")
-    positive_plane = _phi_distance(np.array([phi_plane_deg]), 0.0)[0] <= 90.0
+    positive_plane = phi_distance(phi_plane_deg, 0.0) <= 90.0
     if positive_plane:
         lo, hi = region.start_deg, region.end_deg
     else:
@@ -94,7 +90,7 @@ def directivity_over_region(gridval: FieldGrid, region: LobeRegion,
             f"phi = {phi_plane_deg} half-plane"
         )
 
-    cols = np.nonzero(_phi_distance(grid.phi_deg(), phi_plane_deg) <= phi_band_deg + 1e-9)[0]
+    cols = np.nonzero(phi_distance(grid.phi_deg(), phi_plane_deg) <= phi_band_deg + 1e-9)[0]
     if cols.size == 0:
         raise EmptyRegion(f"no phi column within {phi_band_deg} deg of {phi_plane_deg}")
 
@@ -126,7 +122,7 @@ def _beam_pieces(start_deg: float, end_deg: float) -> list[tuple[LobeRegion, flo
 
 
 def directivity_error(reference: FieldGrid, achieved: FieldGrid,
-                      bm: BenchmarkPattern, phi_band_deg: float = 5.0) -> float:
+                      bm: BenchmarkPattern, phi_band_deg: float = PHI_BAND_DEG) -> float:
     """(D_r - D_a) / D_r over the union of the benchmark's lobe regions."""
     if reference.grid != achieved.grid:
         raise GridMismatch("reference and achieved grids differ")
@@ -141,19 +137,12 @@ def directivity_error(reference: FieldGrid, achieved: FieldGrid,
     return (d_ref - d_ach) / d_ref
 
 
-def _normalized_magnitudes(gridval: FieldGrid) -> np.ndarray:
-    mags = gridval.magnitude()
-    peak = float(mags.max())
-    if peak == 0.0:
-        raise AllZeroField("cannot normalize an identically zero field")
-    return mags / peak
-
-
 def nmse(reference: FieldGrid, achieved: FieldGrid) -> float:
     """Mean squared difference of peak-normalized magnitudes over the grid."""
     if reference.grid != achieved.grid:
         raise GridMismatch("reference and achieved grids differ")
-    diff = _normalized_magnitudes(reference) - _normalized_magnitudes(achieved)
+    ref, ach = reference.magnitude(), achieved.magnitude()
+    diff = ref / peak_magnitude(ref) - ach / peak_magnitude(ach)
     return float(np.mean(diff * diff))
 
 
@@ -217,9 +206,7 @@ def side_lobe_ratio(achieved: FieldGrid, bm: BenchmarkPattern) -> tuple[float, l
     """
     cut = principal_cut(achieved)
     power = cut.magnitude.astype(float) ** 2
-    if power.max() == 0.0:
-        raise AllZeroField("achieved pattern is identically zero")
-    lobes = detect_lobes(cut)
+    lobes = detect_lobes(cut)  # AllZeroField on an all-zero cut
 
     spans = [(b.lobe_start_deg, b.lobe_end_deg) for b in bm.beams]
     side = next(

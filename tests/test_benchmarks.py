@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -188,6 +189,17 @@ class TestReferencePattern:
                                          cache_dir=tmp_path / f"alone{i}")
             assert np.array_equal(shared.values, alone.values)
         assert len(list((tmp_path / "shared" / "ref").iterdir())) == 4
+
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(GAParams) if f.name != "seed"])
+    def test_every_ga_parameter_keys_the_cache(self, tmp_path, name):
+        changed = {"population": 9, "generations": 4, "crossover_prob": 0.5,
+                   "mutation_prob_per_gene": 0.1, "elitism": 1, "tournament_size": 3}
+        bm = load_benchmark("B1")
+        grid = GridSpec(theta_step_deg=5.0, phi_step_deg=5.0)
+        for params in (TINY_GA, dataclasses.replace(TINY_GA, **{name: changed[name]})):
+            reference_pattern(bm, PW, seed=7, ga_params=params, grid=grid, cache_dir=tmp_path)
+        assert len(list((tmp_path / "ref").iterdir())) == 4
 
     @pytest.mark.parametrize("corrupt", ["config", "field"])
     def test_unreadable_entry_is_recomputed(self, tmp_path, corrupt):

@@ -309,6 +309,14 @@ class TestEvaluate:
                      "--achieved", achieved, "--reference", str(coarse)])
         assert code == 3
 
+    def test_grid_mismatch_found_before_reference_runs(self, run_config, tmp_path):
+        cfg_path, tmp = run_config  # a 1 degree run config
+        coarse = tmp_path / "coarse.csv"
+        rows = [f"{t},{p},0,0,0" for t in range(0, 180, 2) for p in range(0, 360, 2)]
+        coarse.write_text("\n".join(["theta_deg,phi_deg,re,im,mag", *rows]) + "\n")
+        assert main(["evaluate", "--config", str(cfg_path), "--achieved", str(coarse)]) == 3
+        assert not (tmp / "cache" / "ref").exists()
+
     def test_partial_grid_is_io_error(self, run_config, tmp_path):
         cfg_path, tmp = run_config
         partial = tmp_path / "partial.csv"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from risbench.benchmarks import BeamSpec, BenchmarkPattern, ideal_target_field
 from risbench.errors import (
     AllZeroField,
     ConfigMismatch,
@@ -82,6 +83,25 @@ class TestGridSpec:
     def test_field_values_must_fill_the_grid(self):
         with pytest.raises(GridMismatch):
             FieldGrid(values=np.zeros((90, 360), dtype=complex), grid=GridSpec())
+
+    def test_every_layer_covers_the_front_rows(self):
+        # At a step of 180/338 the theta = 90 row computes to just above 90,
+        # where a "theta <= 90" test and a "90 / step" count part ways.
+        surf, _ = build_surface(ideal_cell(), 2, 2)
+        config = uniform_config(surf)
+        bm = BenchmarkPattern(id="BX", beams=(BeamSpec(0.0, 1.0, -90.0, 90.0),))
+        for n in range(2, 721, 2):
+            grid = GridSpec(theta_step_deg=180.0 / n, phi_step_deg=90.0)
+            rows = grid.front_rows
+            assert abs(grid.theta_deg()[rows - 1] - 90.0) < 1e-9, n
+            evaluator = FieldEvaluator(surf, PW, grid)
+            assert evaluator.front(config.states).size == rows * 4, n
+            assert principal_cut(evaluator.field(config)).magnitude.size == 2 * rows - 1, n
+            target = ideal_target_field(bm, grid)
+            assert not target.values[rows:].any(), n
+            cut = principal_cut(target)
+            np.testing.assert_allclose(cut.magnitude, np.cos(np.radians(cut.signed_theta_deg)) ** 2,
+                                       rtol=0.0, atol=1e-12, err_msg=str(n))
 
 
 class TestPlanewave:
@@ -290,8 +310,7 @@ class TestNormalize:
         surf, _ = build_surface(ideal_cell(), 4, 4)
         fg = field_planewave(surf, steering_config(surf, 10.0), PW)
         n1 = normalize_grid(fg)
-        scaled = FieldGrid(values=fg.values * 4.0, grid=fg.grid,
-                           wavelength_m=fg.wavelength_m)
+        scaled = FieldGrid(values=fg.values * 4.0, grid=fg.grid)
         n2 = normalize_grid(scaled)
         assert np.array_equal(n1.values, n2.values)
         n3 = normalize_grid(FieldGrid(values=fg.values * 5.0, grid=fg.grid))
@@ -339,7 +358,7 @@ class TestFieldCsv:
         write_field_csv(fg, path)
         header = path.read_text().splitlines()[0]
         assert header == "theta_deg,phi_deg,re,im,mag"
-        back = read_field_csv(path, wavelength_m=fg.wavelength_m)
+        back = read_field_csv(path)
         assert back.grid == fg.grid
         np.testing.assert_allclose(back.values, fg.values, rtol=1e-8, atol=1e-8 * np.abs(fg.values).max())
 
