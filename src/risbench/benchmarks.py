@@ -39,6 +39,7 @@ from .field import (
     read_field_csv,
     write_field_csv,
 )
+from .ga import GAParams, run_ga
 from .surface import (
     ConfigMatrix,
     SurfaceSpec,
@@ -166,7 +167,7 @@ def reference_unit_cell() -> UnitCellSpec:
 
 
 def _cache_hash(bm: BenchmarkPattern, cell: UnitCellSpec, src: SourceModel,
-                grid: GridSpec, ga_params) -> str:
+                grid: GridSpec, ga_params: GAParams) -> str:
     """Digest of everything the cached reference depends on besides the seed."""
     doc = {
         "beams": [dataclasses.astuple(b) for b in bm.beams],
@@ -197,7 +198,7 @@ def reference_pattern(
     bm: BenchmarkPattern,
     src: SourceModel,
     seed: int,
-    ga_params=None,
+    ga_params: GAParams | None = None,
     grid: GridSpec | None = None,
     cache_dir: str | Path | None = None,
 ) -> tuple[FieldGrid, ConfigMatrix]:
@@ -211,8 +212,6 @@ def reference_pattern(
     Identical requests return byte-identical data because the first call also
     round-trips through its own cache files.
     """
-    from .ga import GAParams, run_ga  # deferred: optimizer depends on metrics
-
     grid = grid or GridSpec()
     if ga_params is None:
         ga_params = GAParams(seed=seed)

@@ -1,14 +1,18 @@
-"""Exception hierarchy, and the number rules of every input document.
+"""Exception hierarchy, and the number rules of every input.
 
 Three families map onto the CLI exit codes: configuration/validation
 problems (exit 2), numeric or domain failures (exit 3), and I/O failures
 (exit 4).  ``json_number`` and ``json_integer`` are the one number rule of the
 run config and of cell, surface and benchmark documents: every parser imports
 this module, and it loads no numpy before ``--threads`` takes effect.
+``check_positive`` is the one positivity rule: cells, surfaces, sources,
+grids and the control figures apply it where each is built, so a value read
+from a document and one passed through the Python API meet the same check.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 
 
@@ -47,7 +51,7 @@ class InvalidGamma(ConfigError):
 
 
 class NonPositiveParam(ConfigError):
-    """A parameter that must be positive is zero or negative."""
+    """A parameter that must be positive is zero, negative, NaN or infinite."""
 
 
 class GroupSizeMismatch(ConfigError):
@@ -114,6 +118,18 @@ class SearchSpaceTooLarge(DomainError):
 
 class ConfigParseError(ConfigError):
     """Run-configuration file missing, unreadable, or malformed."""
+
+
+# -- positivity rule ---------------------------------------------------------
+
+def check_positive(owner: str = "", /, **values) -> None:
+    """Raise NonPositiveParam unless every value is positive and finite; a
+    plain ``v <= 0`` test would pass NaN and infinity.  ``owner`` (a cell id)
+    leads the message when given."""
+    for name, v in values.items():
+        if not 0 < v < math.inf:
+            prefix = f"{owner}: " if owner else ""
+            raise NonPositiveParam(f"{prefix}{name} must be positive and finite, got {v}")
 
 
 # -- number rules: both raise only ValueError ---------------------------------

@@ -41,8 +41,8 @@ from .errors import (
     GridMismatch,
     GridMissingPlane,
     IoError,
-    NonPositiveParam,
     SourceBelowSurface,
+    check_positive,
 )
 from .surface import ConfigMatrix, SurfaceSpec, validate_config
 
@@ -59,8 +59,7 @@ class SourceModel:
     def __post_init__(self):
         if self.kind not in ("point", "planewave"):
             raise ConfigMismatch(f"unknown source kind {self.kind!r}")
-        if self.amplitude <= 0:
-            raise NonPositiveParam(f"source amplitude must be positive, got {self.amplitude}")
+        check_positive(amplitude=self.amplitude)
         if self.kind == "point":
             if self.position_m is None:
                 raise ConfigMismatch("point source requires a position")
@@ -90,8 +89,7 @@ class GridSpec:
     def __post_init__(self):
         for span, step, name in ((180.0, self.theta_step_deg, "theta"),
                                  (360.0, self.phi_step_deg, "phi")):
-            if not 0 < step < math.inf:  # also rejects NaN
-                raise NonPositiveParam(f"{name} step must be positive and finite, got {step}")
+            check_positive(**{f"{name} step": step})
             if abs(span / step - round(span / step)) > 1e-9:
                 raise ConfigMismatch(f"{name} step {step} must divide {span} degrees")
 
@@ -174,8 +172,7 @@ def aperture_phase(surface: SurfaceSpec, theta_deg: float, phi_deg: float) -> np
 
 def radiation_factor(q: float, theta_rad) -> np.ndarray | float:
     """Cell envelope cos(theta)**(1/q) on the front hemisphere, 0 behind."""
-    if q <= 0:
-        raise NonPositiveParam(f"q must be positive, got {q}")
+    check_positive(q=q)
     c = np.cos(theta_rad)
     return np.where(c > 0.0, np.power(np.clip(c, 0.0, None), 1.0 / q), 0.0)
 
@@ -341,20 +338,23 @@ def steering_config(surface: SurfaceSpec, theta_deg: float, phi_deg: float = 0.0
 # -- CSV serialization ---------------------------------------------------------
 #
 # Header `theta_deg,phi_deg,re,im,mag`, one row per grid point, theta-major,
-# 9 significant digits.  Rows must cover the full grid, theta from 0 up to
-# 180 and phi from 0 up to 360 at even steps.
+# 9 significant digits.  A reader takes the rows in any order, but they must
+# hold each point of the full grid exactly once, theta from 0 up to 180 and
+# phi from 0 up to 360 at even steps.
 
 FIELD_CSV_HEADER = "theta_deg,phi_deg,re,im,mag"
 
 
+def _grid_points(grid: GridSpec) -> np.ndarray:
+    """(theta, phi) of every grid point, one row each, theta-major."""
+    theta, phi = grid.theta_deg(), grid.phi_deg()
+    return np.column_stack([np.repeat(theta, phi.size), np.tile(phi, theta.size)])
+
+
 def write_field_csv(gridval: FieldGrid, path: str | Path) -> None:
     path = Path(path)
-    theta = gridval.grid.theta_deg()
-    phi = gridval.grid.phi_deg()
-    tt = np.repeat(theta, phi.size)
-    pp = np.tile(phi, theta.size)
     flat = gridval.values.ravel()
-    table = np.column_stack([tt, pp, flat.real, flat.imag, np.abs(flat)])
+    table = np.column_stack([_grid_points(gridval.grid), flat.real, flat.imag, np.abs(flat)])
     tmp = path.with_name(path.name + ".tmp")  # readers never see a partial file
     try:
         np.savetxt(tmp, table, fmt="%.9g,%.9g,%.9g,%.9g,%.9g",
@@ -374,15 +374,12 @@ def read_field_csv(path: str | Path) -> FieldGrid:
         raise IoError(f"malformed field CSV {path}: {exc}") from exc
     if raw.shape[1] != 5:
         raise IoError(f"malformed field CSV {path}: expected 5 columns, got {raw.shape[1]}")
-    theta = np.unique(raw[:, 0])
-    phi = np.unique(raw[:, 1])
-    if theta.size * phi.size != raw.shape[0]:
-        raise IoError(f"field CSV {path} is not a complete theta x phi grid")
-    grid = GridSpec(theta_step_deg=180.0 / theta.size, phi_step_deg=360.0 / phi.size)
-    if not (np.allclose(theta, grid.theta_deg(), rtol=0.0, atol=1e-6)
-            and np.allclose(phi, grid.phi_deg(), rtol=0.0, atol=1e-6)):
-        raise IoError(f"field CSV {path} does not cover theta 0..180 and phi 0..360 "
-                      "at even steps")
+    n_theta, n_phi = np.unique(raw[:, 0]).size, np.unique(raw[:, 1]).size
+    grid = GridSpec(theta_step_deg=180.0 / n_theta, phi_step_deg=360.0 / n_phi)
     order = np.lexsort((raw[:, 1], raw[:, 0]))
-    values = (raw[order, 2] + 1j * raw[order, 3]).reshape(theta.size, phi.size)
+    if not (raw.shape[0] == grid.n_points
+            and np.allclose(raw[order, :2], _grid_points(grid), rtol=0.0, atol=1e-6)):
+        raise IoError(f"field CSV {path} does not hold each point of an even theta 0..180, "
+                      "phi 0..360 grid exactly once")
+    values = (raw[order, 2] + 1j * raw[order, 3]).reshape(grid.shape)
     return FieldGrid(values=values, grid=grid)

@@ -11,11 +11,11 @@ shows at a 1-degree step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .benchmarks import BenchmarkPattern
 from .errors import (
     AllZeroField,
     EmptyRegion,
@@ -24,6 +24,9 @@ from .errors import (
 )
 from .field import (PHI_BAND_DEG, FieldGrid, PrincipalCut, peak_magnitude, phi_distance,
                     principal_cut)
+
+if TYPE_CHECKING:  # annotations only: benchmarks imports the optimizer, which imports this
+    from .benchmarks import BenchmarkPattern
 
 NO_SIDE_LOBE_DB = 99.0   # sentinel when no lobe exists outside the intended regions
 ZERO_INTENDED_DB = -99.0  # sentinel when the intended region carries no power
@@ -57,12 +60,7 @@ class MetricsReport:
     per_beam_slr_db: tuple[float, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "de": self.de,
-            "nmse": self.nmse,
-            "slr_db": self.slr_db,
-            "per_beam_slr_db": list(self.per_beam_slr_db),
-        }
+        return asdict(self)
 
 
 def directivity_over_region(gridval: FieldGrid, region: LobeRegion,

@@ -5,6 +5,11 @@ the x-y plane, centered at the origin with normal +z.  Cell (m, n) sits at
 ((n - (N-1)/2) * pitch, (m - (M-1)/2) * pitch, 0).  Diode states are small
 integers indexing the cell's reflection-coefficient table; groups of G
 cells share one state.
+
+``UnitCellSpec`` and ``SurfaceSpec`` check themselves when built: a cell runs
+``validate_unit_cell``, a surface its dimensions, pitch and group size.  So
+no invalid cell or surface exists, whether it came from a document or from
+the Python API.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .errors import (
     LengthMismatch,
     NonPositiveParam,
 )
-from .errors import json_integer, json_number
+from .errors import check_positive, json_integer, json_number
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -64,6 +69,9 @@ class UnitCellSpec:
     height_m: float
     design_freq_hz: float
 
+    def __post_init__(self):
+        validate_unit_cell(self)
+
     @property
     def n_states(self) -> int:
         return len(self.states)
@@ -82,6 +90,10 @@ class SurfaceSpec:
     cols_n: int
     pitch_m: float
     group_size: int
+
+    def __post_init__(self):
+        check_positive(rows_m=self.rows_m, cols_n=self.cols_n, pitch_m=self.pitch_m)
+        check_group_size(self.rows_m, self.cols_n, self.group_size)
 
     @property
     def n_cells(self) -> int:
@@ -135,25 +147,16 @@ class ConfigMatrix:
     def __post_init__(self):
         self.states.setflags(write=False)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.states.shape
-
 
 def validate_unit_cell(spec: UnitCellSpec) -> UnitCellSpec:
-    """Check every cell invariant; return the spec unchanged if valid."""
-    if spec.n_bits <= 0:
-        raise NonPositiveParam(f"{spec.id}: n_bits must be positive, got {spec.n_bits}")
-    if spec.n_diodes <= 0:
-        raise NonPositiveParam(f"{spec.id}: n_diodes must be positive, got {spec.n_diodes}")
+    """Check every cell invariant; return the spec unchanged if valid.
+    ``UnitCellSpec`` runs this when built."""
+    check_positive(spec.id, n_bits=spec.n_bits, n_diodes=spec.n_diodes,
+                   q_exponent=spec.q_exponent, design_freq_hz=spec.design_freq_hz)
     if spec.n_diodes < spec.n_bits:
         raise NonPositiveParam(
             f"{spec.id}: n_diodes ({spec.n_diodes}) must be >= n_bits ({spec.n_bits})"
         )
-    if spec.q_exponent <= 0:
-        raise NonPositiveParam(f"{spec.id}: q_exponent must be positive")
-    if spec.design_freq_hz <= 0:
-        raise NonPositiveParam(f"{spec.id}: design_freq_hz must be positive")
     expected = 2 ** spec.n_bits
     if len(spec.states) != expected:
         raise InvalidStateCount(
@@ -175,16 +178,20 @@ def default_pitch(cell: UnitCellSpec) -> float:
     return SPEED_OF_LIGHT / (2.0 * cell.design_freq_hz)
 
 
-def group_layout(rows_m: int, cols_n: int, group_size: int) -> GroupLayout:
-    """Row-major contiguous runs of ``group_size`` cells share a group id."""
+def check_group_size(rows_m: int, cols_n: int, group_size: int) -> None:
+    """The grouping rule: the group size is positive and divides the M*N cells."""
+    check_positive(group_size=group_size)
     n_cells = rows_m * cols_n
-    if group_size <= 0:
-        raise NonPositiveParam(f"group_size must be positive, got {group_size}")
     if n_cells % group_size != 0:
         raise GroupSizeMismatch(
             f"group size {group_size} does not divide {rows_m}x{cols_n} = {n_cells} cells"
         )
-    ids = np.arange(n_cells, dtype=np.int64) // group_size
+
+
+def group_layout(rows_m: int, cols_n: int, group_size: int) -> GroupLayout:
+    """Row-major contiguous runs of ``group_size`` cells share a group id."""
+    check_group_size(rows_m, cols_n, group_size)
+    ids = np.arange(rows_m * cols_n, dtype=np.int64) // group_size
     return GroupLayout(assignment=ids.reshape(rows_m, cols_n), group_size=group_size)
 
 
@@ -195,19 +202,14 @@ def build_surface(
     group_size: int = 1,
     pitch_m: float | None = None,
 ) -> tuple[SurfaceSpec, GroupLayout]:
-    """Assemble a surface and its group layout from a validated cell."""
-    validate_unit_cell(cell)
-    if rows_m <= 0 or cols_n <= 0:
-        raise NonPositiveParam(f"surface dimensions must be positive, got {rows_m}x{cols_n}")
+    """Assemble a surface and its group layout; the pitch defaults to half a
+    wavelength at the cell's design frequency."""
     if pitch_m is None:
         pitch_m = default_pitch(cell)
-    if pitch_m <= 0:
-        raise NonPositiveParam(f"pitch must be positive, got {pitch_m}")
-    layout = group_layout(rows_m, cols_n, group_size)
     surf = SurfaceSpec(
         cell=cell, rows_m=rows_m, cols_n=cols_n, pitch_m=pitch_m, group_size=group_size
     )
-    return surf, layout
+    return surf, group_layout(rows_m, cols_n, group_size)
 
 
 def expand_groups(
@@ -280,10 +282,7 @@ def read_config_csv(path: str | Path) -> ConfigMatrix:
 
 def near_field_boundary(aperture_diameter_m: float, wavelength_m: float) -> float:
     """Far-field onset distance 2 D**2 / lambda for an aperture of diameter D."""
-    if aperture_diameter_m <= 0:
-        raise NonPositiveParam(f"aperture diameter must be positive, got {aperture_diameter_m}")
-    if wavelength_m <= 0:
-        raise NonPositiveParam(f"wavelength must be positive, got {wavelength_m}")
+    check_positive(aperture_diameter_m=aperture_diameter_m, wavelength_m=wavelength_m)
     return 2.0 * aperture_diameter_m ** 2 / wavelength_m
 
 
@@ -326,13 +325,13 @@ def read_json_document(ref: str | Path, what: str,
 
 
 def cell_from_document(doc: dict, origin: str) -> UnitCellSpec:
-    """Validated cell from a parsed cell document."""
+    """Cell from a parsed cell document; building it validates it."""
     try:
         states = tuple(
             ReflectionState(json_number(s["mag"]), json_number(s["phase_deg"]))
             for s in doc["states"]
         )
-        cell = UnitCellSpec(
+        return UnitCellSpec(
             id=str(doc["id"]),
             n_bits=json_integer(doc["n_bits"]),
             n_diodes=json_integer(doc["n_diodes"]),
@@ -344,7 +343,6 @@ def cell_from_document(doc: dict, origin: str) -> UnitCellSpec:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigParseError(f"malformed cell document {origin}: {exc}") from exc
-    return validate_unit_cell(cell)
 
 
 def surface_from_document(doc: dict, path: Path) -> tuple[SurfaceSpec, GroupLayout]:

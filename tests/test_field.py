@@ -62,6 +62,11 @@ class TestRadiationFactor:
     def test_zero_behind(self):
         assert radiation_factor(2.0, math.radians(120)) == 0.0
 
+    def test_infinite_q_rejected(self):
+        # cos(theta)**(1/inf) is 1: an isotropic cell, not an error, unless checked
+        with pytest.raises(NonPositiveParam):
+            radiation_factor(math.inf, math.radians(60))
+
 
 class TestGridSpec:
     def test_default_point_count(self):
@@ -165,6 +170,11 @@ class TestPlanewave:
         bad = ConfigMatrix(states=np.zeros((3, 2), dtype=np.int64))
         with pytest.raises(ConfigMismatch):
             field_planewave(surf, bad, PW)
+
+    @pytest.mark.parametrize("amplitude", [math.nan, math.inf])
+    def test_amplitude_must_be_finite(self, amplitude):
+        with pytest.raises(NonPositiveParam):
+            SourceModel.planewave(amplitude)
 
 
 class TestPointSource:
@@ -378,5 +388,18 @@ class TestFieldCsv:
         path = tmp_path / "partial.csv"
         rows = [f"{t},{p},0,0,0" for t in thetas for p in phis]
         path.write_text("\n".join(["theta_deg,phi_deg,re,im,mag", *rows]) + "\n")
+        with pytest.raises(IoError):
+            read_field_csv(path)
+
+    def test_duplicated_row_rejected(self, tmp_path):
+        # Every theta and phi value still appears and the row count is right,
+        # but one grid point is missing and another appears twice.
+        surf, _ = build_surface(ideal_cell(), 4, 4)
+        fg = field_planewave(surf, steering_config(surf, 22.0), PW, GridSpec(30.0, 90.0))
+        path = tmp_path / "pattern.csv"
+        write_field_csv(fg, path)
+        lines = path.read_text().splitlines()
+        lines[5] = lines[9]
+        path.write_text("\n".join(lines) + "\n")
         with pytest.raises(IoError):
             read_field_csv(path)

@@ -15,6 +15,7 @@ from risbench.errors import (
 from risbench.surface import (
     SPEED_OF_LIGHT,
     ReflectionState,
+    SurfaceSpec,
     UnitCellSpec,
     build_surface,
     expand_groups,
@@ -62,8 +63,9 @@ class TestValidateUnitCell:
             validate_unit_cell(make_cell(states=states))
 
     def test_nonpositive_q(self):
-        with pytest.raises(NonPositiveParam):
-            validate_unit_cell(make_cell(q=0.0))
+        for q in (0.0, np.nan, np.inf):  # nan and inf pass a `q <= 0` test
+            with pytest.raises(NonPositiveParam, match="^test: q_exponent"):
+                validate_unit_cell(make_cell(q=q))
 
     def test_diodes_fewer_than_bits(self):
         states = tuple(ReflectionState(0.9, 90.0 * i) for i in range(4))
@@ -87,6 +89,21 @@ class TestBuildSurface:
     def test_group_size_mismatch(self):
         with pytest.raises(GroupSizeMismatch):
             build_surface(make_cell(), 3, 3, 2)
+
+    @pytest.mark.parametrize("pitch_m", [np.nan, np.inf])
+    def test_pitch_must_be_finite(self, pitch_m):
+        with pytest.raises(NonPositiveParam):
+            build_surface(make_cell(), 2, 2, 1, pitch_m=pitch_m)
+
+    @pytest.mark.parametrize("rows_m, pitch_m, group_size, error", [
+        (0, 0.01, 1, NonPositiveParam),
+        (2, np.nan, 1, NonPositiveParam),
+        (2, np.inf, 1, NonPositiveParam),
+        (3, 0.01, 2, GroupSizeMismatch),  # 3 x 3 cells
+    ])
+    def test_surface_spec_checks_itself(self, rows_m, pitch_m, group_size, error):
+        with pytest.raises(error):
+            SurfaceSpec(make_cell(), rows_m, 3, pitch_m, group_size)
 
     def test_positions_symmetric_about_origin(self):
         import math
@@ -149,6 +166,10 @@ class TestNearFieldBoundary:
     def test_zero_diameter_errors(self):
         with pytest.raises(NonPositiveParam):
             near_field_boundary(0.0, 0.5)
+
+    def test_nan_diameter_errors(self):
+        with pytest.raises(NonPositiveParam):
+            near_field_boundary(np.nan, 0.5)
 
     def test_quadratic_scaling_in_aperture(self):
         pitch = 0.0135
