@@ -8,6 +8,8 @@ this module, and it loads no numpy before ``--threads`` takes effect.
 ``check_positive`` is the one positivity rule: cells, surfaces, sources,
 grids and the control figures apply it where each is built, so a value read
 from a document and one passed through the Python API meet the same check.
+``check_finite`` is the rule for values that may be zero or negative
+(angles, source coordinates): it rejects NaN and infinity where they enter.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ class ConfigParseError(ConfigError):
     """Run-configuration file missing, unreadable, or malformed."""
 
 
-# -- positivity rule ---------------------------------------------------------
+# -- positivity and finiteness rules -----------------------------------------
 
 def check_positive(owner: str = "", /, **values) -> None:
     """Raise NonPositiveParam unless every value is positive and finite; a
@@ -130,6 +132,14 @@ def check_positive(owner: str = "", /, **values) -> None:
         if not 0 < v < math.inf:
             prefix = f"{owner}: " if owner else ""
             raise NonPositiveParam(f"{prefix}{name} must be positive and finite, got {v}")
+
+
+def check_finite(name: str, values) -> None:
+    """Raise ConfigError unless every value is finite: a NaN angle or
+    coordinate would otherwise reach the field as a wrong number (argmin
+    over NaN distances picks state 0) or fail late as a DomainError."""
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{name} must be finite, got {tuple(values)}")
 
 
 # -- number rules: both raise only ValueError ---------------------------------

@@ -9,15 +9,18 @@ configurations against one surface reuses the precomputed phase tables.
 
 Only the front hemisphere (theta <= 90 deg) is ever computed; the back
 hemisphere is identically zero for a reflective surface over a ground
-plane.  The kernel folds two symmetries.  Columns phi and 360 - phi share
-u = sin(theta) cos(phi) and negate v, so the tables cover phi up to 180
-only and each mirrored column is rebuilt from the same four real sums.
-The lattice is centred, x[N-1-n] = -x[n], so mirrored cell columns enter
-as the sum and difference of their weights against cos and sin tables:
-one real GEMM with a quarter of the multiply-adds of the complex direct
-sum.  The result matches the direct sum to 1e-12 of the peak magnitude
-(tested), not bit for bit; repeated evaluations of one configuration on
-one build are identical.
+plane.  The kernel folds three symmetries.  Columns phi and 360 - phi
+share u = sin(theta) cos(phi) and negate v, so the tables cover phi up to
+180 only and each mirrored column is rebuilt from the same four real sums.
+The lattice is centred on both axes, x[N-1-n] = -x[n] and y[M-1-m] = -y[m],
+so mirrored cell columns enter as the sum and difference of their weights
+against cos and sin tables of x, and mirrored rows likewise against cos
+and sin tables of y.  The column fold leaves one real GEMM with a quarter
+of the multiply-adds of the complex direct sum; the row fold keeps its size
+and halves the reduction over rows and the y table.  The result matches the
+direct sum to 1e-12 of the peak magnitude (tested on odd and even M and N),
+not bit for bit; repeated evaluations of one configuration on one build are
+identical.
 
 Each grid rule the other modules apply lives here once: the front rows
 (``GridSpec.front_rows``), azimuth distance (``phi_distance``), the lobe
@@ -42,6 +45,7 @@ from .errors import (
     GridMissingPlane,
     IoError,
     SourceBelowSurface,
+    check_finite,
     check_positive,
 )
 from .surface import ConfigMatrix, SurfaceSpec, validate_config
@@ -60,9 +64,11 @@ class SourceModel:
         if self.kind not in ("point", "planewave"):
             raise ConfigMismatch(f"unknown source kind {self.kind!r}")
         check_positive(amplitude=self.amplitude)
+        check_finite("incidence angles", self.incidence_deg)
         if self.kind == "point":
             if self.position_m is None:
                 raise ConfigMismatch("point source requires a position")
+            check_finite("point source position", self.position_m)
             if self.position_m[2] <= 0:
                 raise SourceBelowSurface(
                     f"point source must sit above the surface, got z = {self.position_m[2]}"
@@ -177,6 +183,28 @@ def radiation_factor(q: float, theta_rad) -> np.ndarray | float:
     return np.where(c > 0.0, np.power(np.clip(c, 0.0, None), 1.0 / q), 0.0)
 
 
+def _fold(n: int) -> np.ndarray:
+    """(2 ceil(n/2), n) +-1 matrix pairing index i with its mirror n-1-i.
+
+    Row i < ceil(n/2) sums the pair, and row ceil(n/2) + i subtracts the
+    mirror from index i.  An odd n's middle index sums alone, and its
+    difference row is zero.
+    """
+    eye = np.eye(n)
+    own, mirror = eye[: n - n // 2], eye[::-1][: n - n // 2]
+    return np.concatenate([np.sign(own + mirror), own - mirror])
+
+
+def _steer(kr: np.ndarray, cosines: np.ndarray) -> np.ndarray:
+    """(2, ceil(n/2), L) cos and sin of kr[i] * cosines for the first half of a centred axis.
+
+    An odd n's middle coordinate is 0, so its sin row is zero and meets
+    ``_fold``'s zero difference row.
+    """
+    phase = kr[: kr.size - kr.size // 2, None] * cosines[None, :]
+    return np.stack([np.cos(phase), np.sin(phase)])
+
+
 def state_coefficients(surface: SurfaceSpec) -> np.ndarray:
     """Complex reflection coefficient per diode state (degrees -> radians here)."""
     mags = np.array([s.gamma_mag for s in surface.cell.states])
@@ -209,14 +237,17 @@ class FieldEvaluator:
         u = (sin_t * np.cos(phi)[None, :]).ravel()
         v = (sin_t * np.sin(phi)[None, :]).ravel()
 
-        # The lattice is centred, x[N-1-n] = -x[n], so the x phases pair up
-        # as cos +- j sin: cos rows for the first ceil(N/2) columns (an odd
-        # N's middle one sits at x = 0), then sin rows for the first N//2.
+        # The lattice is centred on both axes, x[N-1-n] = -x[n] and
+        # y[M-1-m] = -y[m], so mirrored cells pair up as cos +- j sin: each
+        # axis needs cos and sin tables over its first half only.
         x = surface.cell_x()
         y = surface.cell_y()
-        half = surface.cols_n // 2
-        kxu = (k * x[: surface.cols_n - half, None]) * u[None, :]
-        self._steer_x = np.concatenate([np.cos(kxu), np.sin(kxu[:half])])  # (N, Lh)
+        self._steer_x = np.concatenate(_steer(k * x, u))  # (2 ceil(N/2), Lh)
+        # The weights fold onto those tables: row sums then row differences,
+        # times column sums then j * column differences.
+        cols = surface.cols_n
+        self._fold_rows = _fold(surface.rows_m).astype(complex)
+        self._fold_cols = _fold(cols).T * np.repeat([1.0, 1j], cols - cols // 2)
 
         q = surface.cell.q_exponent
         if src.kind == "planewave":
@@ -238,9 +269,7 @@ class FieldEvaluator:
             self._cell_factor = (src.amplitude / r) * np.exp(-1j * k * r) * f_inc
             env = radiation_factor(q, th)
 
-        env_flat = np.repeat(env, phi.size)
-        kyv = (k * y[:, None]) * v[None, :]
-        self._steer_y = np.stack([np.cos(kyv), np.sin(kyv)]) * env_flat  # (2, M, Lh)
+        self._steer_y = _steer(k * y, v) * np.repeat(env, phi.size)  # (2, ceil(M/2), Lh)
         self._state_coeffs = state_coefficients(surface)
 
     def front(self, states: np.ndarray) -> np.ndarray:
@@ -250,19 +279,15 @@ class FieldEvaluator:
         checked here, so callers validate untrusted input first.
         """
         w = self._state_coeffs[states] * self._cell_factor
-        m, n = w.shape
-        half = n // 2
-        mirror = w[:, ::-1][:, :half]  # column N-1-n beside column n
-        # Sums s against the cos rows, differences d as j*d against the sin
-        # rows: the real part of the n-sum is Re s.cos - Im d.sin, the
-        # imaginary part Im s.cos + Re d.sin.
-        folded = np.concatenate([w[:, : n - half], 1j * (w[:, :half] - mirror)], axis=1)
-        folded[:, :half] += mirror  # an odd N's middle column stays alone
-        p = (np.concatenate([folded.real, folded.imag]) @ self._steer_x).reshape(2, m, -1)
+        folded = self._fold_rows @ w @ self._fold_cols
+        # With s the column sums and d the differences, the real part of the
+        # n-sum is Re s.cos - Im d.sin and the imaginary part Im s.cos + Re d.sin.
+        p = np.concatenate([folded.real, folded.imag]) @ self._steer_x
         n_phi = self._n_phi
-        # (re + j im) (cos + j sin) summed over m, at +v and at -v (the mirror).
-        sums = np.einsum("aml,bml->bal", p, self._steer_y).reshape(2, 2, -1, n_phi // 2 + 1)
-        (re_cos, im_cos), (re_sin, im_sin) = sums
+        # (re + j im) (cos + j sin) summed over m, at +v and at -v (the mirror):
+        # row sums against the cos rows of y, row differences against the sin rows.
+        sums = np.einsum("abml,bml->bal", p.reshape(2, *self._steer_y.shape), self._steer_y)
+        (re_cos, im_cos), (re_sin, im_sin) = sums.reshape(2, 2, -1, n_phi // 2 + 1)
 
         n_mirror = (n_phi - 1) // 2  # column n_phi - j mirrors column j, j = 1..n_mirror
         out = np.empty((re_cos.shape[0], n_phi), dtype=complex)
@@ -328,6 +353,7 @@ def steering_config(surface: SurfaceSpec, theta_deg: float, phi_deg: float = 0.0
     Each cell gets the state whose phase is circularly closest to the ideal
     continuous profile for a beam at (theta, phi).
     """
+    check_finite("steering angles", (theta_deg, phi_deg))
     desired = -aperture_phase(surface, theta_deg, phi_deg)
     state_ph = np.radians([s.gamma_phase_deg for s in surface.cell.states])
     diff = desired[:, :, None] - state_ph[None, None, :]
@@ -343,6 +369,8 @@ def steering_config(surface: SurfaceSpec, theta_deg: float, phi_deg: float = 0.0
 # phi from 0 up to 360 at even steps.
 
 FIELD_CSV_HEADER = "theta_deg,phi_deg,re,im,mag"
+_CSV_ROW = "%.9g,%.9g,%.9g,%.9g,%.9g\n"
+_CSV_CHUNK_ROWS = 1024
 
 
 def _grid_points(grid: GridSpec) -> np.ndarray:
@@ -357,8 +385,11 @@ def write_field_csv(gridval: FieldGrid, path: str | Path) -> None:
     table = np.column_stack([_grid_points(gridval.grid), flat.real, flat.imag, np.abs(flat)])
     tmp = path.with_name(path.name + ".tmp")  # readers never see a partial file
     try:
-        np.savetxt(tmp, table, fmt="%.9g,%.9g,%.9g,%.9g,%.9g",
-                   header=FIELD_CSV_HEADER, comments="")
+        with open(tmp, "w") as out:
+            out.write(FIELD_CSV_HEADER + "\n")
+            # One % per chunk of rows: the bytes np.savetxt writes one row at a time.
+            for chunk in np.split(table, range(_CSV_CHUNK_ROWS, len(table), _CSV_CHUNK_ROWS)):
+                out.write(_CSV_ROW * len(chunk) % tuple(chunk.ravel().tolist()))
         os.replace(tmp, path)
     except OSError as exc:
         raise IoError(f"cannot write field CSV {path}: {exc}") from exc

@@ -6,6 +6,7 @@ import pytest
 from risbench.benchmarks import BeamSpec, BenchmarkPattern, ideal_target_field
 from risbench.errors import (
     AllZeroField,
+    ConfigError,
     ConfigMismatch,
     GridMismatch,
     GridMissingPlane,
@@ -176,6 +177,11 @@ class TestPlanewave:
         with pytest.raises(NonPositiveParam):
             SourceModel.planewave(amplitude)
 
+    @pytest.mark.parametrize("theta_inc, phi_inc", [(math.nan, 0.0), (0.0, math.inf)])
+    def test_incidence_must_be_finite(self, theta_inc, phi_inc):
+        with pytest.raises(ConfigError):
+            SourceModel.planewave(1.0, theta_inc, phi_inc)
+
 
 class TestPointSource:
     def test_single_cell_phase_wraps_to_unity(self):
@@ -191,6 +197,16 @@ class TestPointSource:
             SourceModel.point((0.0, 0.0, -1.0))
         with pytest.raises(SourceBelowSurface):
             SourceModel.point((0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("position", [
+        (0.0, 0.0, math.nan), (0.0, 0.0, math.inf), (math.nan, 0.0, 0.1), (0.0, -math.inf, 0.1),
+    ])
+    def test_position_must_be_finite(self, position):
+        # Rejected where the source is built (exit 2), not later as a
+        # non-finite field (exit 3).
+        with pytest.raises(ConfigError, match="must be finite") as info:
+            SourceModel.point(position)
+        assert info.value.exit_code == 2
 
     def test_inverse_distance_weighting(self):
         # A source high above a wide surface illuminates the center cell
@@ -251,7 +267,8 @@ def direct_sum_field(surf, config, src, grid):
 class TestFidelity:
     """The evaluator against a per-direction direct sum, to 1e-12 of the peak."""
 
-    @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 6), (1, 7), (4, 6), (5, 7), (6, 3)])
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 6), (1, 7), (4, 6), (5, 7), (6, 3),
+                                            (2, 5), (3, 4), (7, 2)])
     @pytest.mark.parametrize("src", [
         SourceModel.point((0.011, -0.023, 0.09)),
         SourceModel.planewave(amplitude=2.0, theta_inc_deg=25.0, phi_inc_deg=40.0),
@@ -344,6 +361,13 @@ class TestSteeringConfig:
         cfg = steering_config(surf, 0.0)
         assert np.all(cfg.states == 0)
 
+    @pytest.mark.parametrize("theta, phi", [(math.nan, 0.0), (30.0, math.nan), (math.inf, 0.0)])
+    def test_non_finite_angle_rejected(self, theta, phi):
+        # argmin over NaN phase distances would put every cell in state 0.
+        surf, _ = build_surface(ideal_cell(), 4, 4)
+        with pytest.raises(ConfigError, match="must be finite"):
+            steering_config(surf, theta, phi)
+
     def test_steered_beam_lands_near_request(self):
         cell = load_unit_cell("S0")
         surf, _ = build_surface(cell, 32, 32)
@@ -371,6 +395,22 @@ class TestFieldCsv:
         back = read_field_csv(path)
         assert back.grid == fg.grid
         np.testing.assert_allclose(back.values, fg.values, rtol=1e-8, atol=1e-8 * np.abs(fg.values).max())
+
+    def test_bytes_match_savetxt(self, tmp_path):
+        # 90 x 120 = 10800 rows: several full chunks of rows and a partial one.
+        grid = GridSpec(2.0, 3.0)
+        rng = np.random.default_rng(7)
+        values = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+        values[0, :4] = [complex(-0.0, -0.0), complex(5e-324, -2.5e-310),
+                         complex(1.5e300, -3e299), complex(-0.0, 123456789.5)]
+        write_field_csv(FieldGrid(values=values, grid=grid), tmp_path / "pattern.csv")
+        theta, phi = np.meshgrid(grid.theta_deg(), grid.phi_deg(), indexing="ij")
+        flat = values.ravel()
+        table = np.column_stack([theta.ravel(), phi.ravel(), flat.real, flat.imag, np.abs(flat)])
+        np.savetxt(tmp_path / "oracle.csv", table, fmt="%.9g,%.9g,%.9g,%.9g,%.9g",
+                   header="theta_deg,phi_deg,re,im,mag", comments="")
+        assert (tmp_path / "pattern.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        assert b"-0,-0,0\n" in (tmp_path / "pattern.csv").read_bytes()
 
     def test_row_count(self, tmp_path):
         surf, _ = build_surface(ideal_cell(), 2, 2)
