@@ -118,14 +118,13 @@ def load_benchmark(id_or_path: str | Path) -> BenchmarkPattern:
         raise ConfigParseError(f"malformed benchmark document {id_or_path}: {exc}") from exc
 
 
-def ideal_target_field(bm: BenchmarkPattern, grid: GridSpec | None = None,
-                       phi_band_deg: float = PHI_BAND_DEG) -> FieldGrid:
+def ideal_target_field(bm: BenchmarkPattern, grid: GridSpec | None = None) -> FieldGrid:
     """Ideal magnitude grid: one raised-cosine lobe per beam, zero elsewhere.
 
     Each beam contributes rel_amplitude * cos(pi * (s - theta_c) / w)**2 over
     its [start, end] span on the signed axis, centered on the phi = 0 column
     for s >= 0 and the phi = 180 column for s < 0, with a matching raised
-    cosine tapering to zero across ``phi_band_deg`` of azimuth on either side
+    cosine tapering to zero across ``PHI_BAND_DEG`` of azimuth on either side
     of the beam's half-plane.  A one-column target is too sparse to steer an
     optimizer on a 1-degree grid (22 of 64 800 samples), the same reason the
     metric integrals use a phi band.  The result is normalized to a peak of
@@ -147,12 +146,8 @@ def ideal_target_field(bm: BenchmarkPattern, grid: GridSpec | None = None,
             s = signed[inside]
             lobe = beam.rel_amplitude * np.cos(
                 math.pi * (s - beam.signed_theta_deg) / width) ** 2
-            if phi_band_deg > 0.0:
-                cols = np.nonzero(phi_off[plane] <= phi_band_deg)[0]
-                taper = np.cos(math.pi * phi_off[plane][cols] / (2.0 * phi_band_deg)) ** 2
-            else:
-                cols = np.nonzero(phi_off[plane] == 0.0)[0]
-                taper = np.ones(cols.size)
+            cols = np.nonzero(phi_off[plane] <= PHI_BAND_DEG)[0]
+            taper = np.cos(math.pi * phi_off[plane][cols] / (2.0 * PHI_BAND_DEG)) ** 2
             rows = np.nonzero(inside)[0] + row_off
             values[np.ix_(rows, cols)] = lobe[:, None] * taper[None, :]
     peak = values.max()

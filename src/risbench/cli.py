@@ -129,10 +129,7 @@ def _run_inputs(cfg: dict) -> tuple:
 
 def _output_dir(cfg: dict, out_flag: str | None) -> Path:
     out = Path(out_flag) if out_flag else Path(cfg.get("output_dir", "runs/out"))
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoError(f"cannot create output directory {out}: {exc}") from exc
+    out.mkdir(parents=True, exist_ok=True)
     return out
 
 
@@ -382,6 +379,9 @@ def main(argv=None) -> int:
     except RisBenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except OSError as exc:  # an artifact, the output directory or a cache entry
+        print(f"error: {exc}", file=sys.stderr)
+        return IoError.exit_code
 
 
 def entry() -> None:

@@ -5,6 +5,9 @@ grouping shrinks the search space and models shared control lines with the
 same mechanism.  Fitness is the negated NMSE between the achieved field and
 the target; DE and SLR stay evaluation-only.  All randomness comes from one
 seeded generator consumed in a fixed order, so a seed pins the entire run.
+The population's fitness array is the only record of scores: a child equal
+to one of its parents keeps that parent's score, and every other chromosome
+is scored by the objective.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ class GAParams:
             )
         if self.tournament_size < 1:
             raise NonPositiveParam("tournament size must be >= 1")
+        if self.seed < 0:
+            raise NonPositiveParam(f"seed must be >= 0, got {self.seed}")
         for name, p in (("crossover_prob", self.crossover_prob),
                         ("mutation_prob_per_gene", self.mutation_prob_per_gene)):
             if p is not None and not 0.0 <= p <= 1.0:
@@ -55,7 +60,7 @@ class GAResult:
     best_field: FieldGrid       # far field of best_config on the target's grid
     best_fitness: float
     history: tuple[float, ...]  # best fitness after each generation, non-decreasing
-    evaluations: int            # distinct field evaluations performed
+    evaluations: int            # objective calls; a child equal to a parent keeps its score
 
 
 class _Objective:
@@ -113,45 +118,35 @@ def run_ga(surface: SurfaceSpec, src: SourceModel, target: FieldGrid,
     p_mut = (params.mutation_prob_per_gene
              if params.mutation_prob_per_gene is not None else 1.0 / n_genes)
 
-    memo: dict[bytes, float] = {}  # each distinct chromosome is scored once
-
-    def score(chromosome: np.ndarray) -> float:
-        key = chromosome.tobytes()
-        if key not in memo:
-            memo[key] = objective(chromosome)
-        return memo[key]
-
     rng = np.random.default_rng(params.seed)
     pop = rng.integers(0, n_states, size=(params.population, n_genes), dtype=np.int64)
-    fits = np.array([score(ind) for ind in pop])
+    fits = np.array([objective(ind) for ind in pop])
 
-    def tournament() -> np.ndarray:
+    def tournament() -> int:
         idx = rng.integers(0, params.population, size=params.tournament_size)
-        return pop[idx[np.argmax(fits[idx])]]
+        return int(idx[np.argmax(fits[idx])])
 
     history = []
     for _ in range(params.generations):
-        order = np.argsort(-fits, kind="stable")
-        elites = pop[order[: params.elitism]].copy()
-        elite_fits = fits[order[: params.elitism]].copy()
-
+        elites = np.argsort(-fits, kind="stable")[: params.elitism]
         children = np.empty((params.population - params.elitism, n_genes), dtype=np.int64)
-        for i in range(children.shape[0]):
-            pa = tournament()
-            pb = tournament()
+        child_fits = np.empty(children.shape[0])
+        for i, child in enumerate(children):
+            parents = (tournament(), tournament())
             if rng.random() < params.crossover_prob:
                 mask = rng.random(n_genes) < 0.5
-                child = np.where(mask, pa, pb)
+                child[:] = np.where(mask, pop[parents[0]], pop[parents[1]])
             else:
-                child = pa.copy()
+                child[:] = pop[parents[0]]
             mut = rng.random(n_genes) < p_mut
             if mut.any():
                 child[mut] = rng.integers(0, n_states, size=int(mut.sum()))
-            children[i] = child
+            # the objective is pure, so a child equal to a parent keeps its score
+            same = [p for p in parents if np.array_equal(child, pop[p])]
+            child_fits[i] = fits[same[0]] if same else objective(child)
 
-        child_fits = np.array([score(ind) for ind in children])
-        pop = np.vstack([elites, children])
-        fits = np.concatenate([elite_fits, child_fits])
+        pop = np.vstack([pop[elites], children])
+        fits = np.concatenate([fits[elites], child_fits])
         history.append(float(fits.max()))
 
     best = int(np.argmax(fits))

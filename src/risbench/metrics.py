@@ -120,7 +120,7 @@ def _beam_pieces(start_deg: float, end_deg: float) -> list[tuple[LobeRegion, flo
 
 
 def directivity_error(reference: FieldGrid, achieved: FieldGrid,
-                      bm: BenchmarkPattern, phi_band_deg: float = PHI_BAND_DEG) -> float:
+                      bm: BenchmarkPattern) -> float:
     """(D_r - D_a) / D_r over the union of the benchmark's lobe regions."""
     if reference.grid != achieved.grid:
         raise GridMismatch("reference and achieved grids differ")
@@ -128,8 +128,8 @@ def directivity_error(reference: FieldGrid, achieved: FieldGrid,
     d_ach = 0.0
     for beam in bm.beams:
         for region, plane in _beam_pieces(beam.lobe_start_deg, beam.lobe_end_deg):
-            d_ref += directivity_over_region(reference, region, plane, phi_band_deg)
-            d_ach += directivity_over_region(achieved, region, plane, phi_band_deg)
+            d_ref += directivity_over_region(reference, region, plane)
+            d_ach += directivity_over_region(achieved, region, plane)
     if d_ref == 0.0:
         raise ZeroReferenceDirectivity("reference has no power in the intended regions")
     return (d_ref - d_ach) / d_ref

@@ -247,13 +247,9 @@ def validate_config(surface: SurfaceSpec, config: ConfigMatrix) -> ConfigMatrix:
     return config
 
 
-def uniform_config(surface: SurfaceSpec, state: int = 0) -> ConfigMatrix:
-    """Every cell in the same state."""
-    if not 0 <= state < surface.cell.n_states:
-        raise InvalidStateIndex(f"state {state} outside [0, {surface.cell.n_states - 1}]")
-    return ConfigMatrix(
-        states=np.full((surface.rows_m, surface.cols_n), state, dtype=np.int64)
-    )
+def uniform_config(surface: SurfaceSpec) -> ConfigMatrix:
+    """Every cell in state 0."""
+    return ConfigMatrix(states=np.zeros((surface.rows_m, surface.cols_n), dtype=np.int64))
 
 
 # -- config CSV ----------------------------------------------------------------

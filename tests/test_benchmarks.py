@@ -104,12 +104,6 @@ class TestIdealTargetField:
         assert mags[30, 1] < mags[30, 0]
         assert mags[30, 5] < 1e-30  # cos(pi/2)^2 at the band edge
 
-    def test_single_column_variant(self):
-        fg = ideal_target_field(load_benchmark("B1"), phi_band_deg=0.0)
-        mags = np.abs(fg.values)
-        assert mags[:, 1:360].max() == 0.0
-        assert mags[30, 0] == 1.0
-
     def test_single_connected_region_in_cut(self):
         cut = principal_cut(ideal_target_field(load_benchmark("B1")))
         nz = np.nonzero(cut.magnitude > 0)[0]

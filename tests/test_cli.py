@@ -70,6 +70,7 @@ BAD_CONFIGS = {
     "cols_bool": ("simulate", lambda doc, tmp: doc.update(cols=True)),
     "ga.generations_fraction": ("simulate", lambda doc, tmp: doc["ga"].update(generations=2.5)),
     "ga.seed_bool": ("simulate", lambda doc, tmp: doc["ga"].update(seed=True)),
+    "ga.seed_negative": ("optimize", lambda doc, tmp: doc["ga"].update(seed=-1)),
     "control.pins_k_fraction": ("simulate", lambda doc, tmp: doc.update(control={"pins_k": 8.5})),
     "grid.theta_step_bool": (
         "simulate", lambda doc, tmp: doc["grid"].update(theta_step_deg=True)),
@@ -231,6 +232,12 @@ class TestSimulate:
         cfg_path.write_text(json.dumps(doc))
         assert main(["simulate", "--config", str(cfg_path)]) == 4
 
+    def test_unwritable_artifact_is_io_error(self, run_config, capsys):
+        cfg_path, tmp = run_config
+        (tmp / "out" / "config.ppm").mkdir(parents=True)
+        assert main(["simulate", "--config", str(cfg_path)]) == 4
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestOptimize:
     def test_artifacts_and_record(self, run_config):
@@ -260,6 +267,12 @@ class TestOptimize:
         schema = json.loads(resources.files("risbench").joinpath(
             "data", "schemas", "run_record.schema.json").read_text())
         jsonschema.validate(record, schema)
+
+    def test_unwritable_artifact_is_io_error(self, run_config, capsys):
+        cfg_path, tmp = run_config
+        (tmp / "out" / "history.csv").mkdir(parents=True)
+        assert main(["optimize", "--config", str(cfg_path)]) == 4
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_seed_flag_overrides(self, run_config):
         cfg_path, tmp = run_config

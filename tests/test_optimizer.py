@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,33 @@ class TestRunGa:
         assert res.best_config.states.shape == (2, 4)
         flat = res.best_config.states.ravel()
         assert np.all(flat[0::2] == flat[1::2])  # row-major pairs share state
+
+    def test_memory_does_not_grow_with_generations(self):
+        # The population's fitness array is the only record of scores, so
+        # ten times the generations must not cost more memory.
+        surf, _ = build_surface(load_unit_cell("S0"), 20, 20)
+        states = np.random.default_rng(0).integers(0, 4, size=(20, 20))
+        target = normalize_grid(field_planewave(
+            surf, ConfigMatrix(states=states), PW, GridSpec(30.0, 30.0)))
+        peaks = {}
+        for generations in (30, 300):
+            params = GAParams(population=10, generations=generations, seed=7)
+            tracemalloc.start()
+            try:
+                run_ga(surf, PW, target, params)
+                peaks[generations] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[300] - peaks[30] < 1_000_000
+
+    def test_child_equal_to_a_parent_keeps_its_score(self):
+        # Without crossover or mutation every child copies a parent, so only
+        # the initial population is ever scored.
+        surf, _ = build_surface(one_bit_cell(), 2, 3)
+        target = reachable_target(surf, [[0, 1, 0], [1, 0, 1]])
+        params = GAParams(population=8, generations=5, crossover_prob=0.0,
+                          mutation_prob_per_gene=0.0, seed=4)
+        assert run_ga(surf, PW, target, params).evaluations == 8
 
 
 class TestGaVsOracle:
