@@ -13,18 +13,16 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "benchmarks": ("BeamSpec", "BenchmarkPattern", "ideal_target_field",
                    "load_benchmark", "reference_pattern", "reference_unit_cell"),
-    "control": ("ControlReport", "complexity_report", "max_power", "physical_paths",
-                "power_per_area", "switching_rate"),
+    "control": ("ControlReport", "complexity_report"),
     "field": ("FieldEvaluator", "FieldGrid", "GridSpec", "PrincipalCut", "SourceModel",
-              "field_planewave", "field_point_source", "normalize_grid", "principal_cut",
-              "radiation_factor", "read_field_csv", "steering_config", "write_field_csv"),
+              "principal_cut", "radiation_factor", "read_field_csv", "steering_config",
+              "write_field_csv"),
     "ga": ("GAParams", "GAResult", "exhaustive_search", "fitness", "run_ga"),
     "metrics": ("LobeRegion", "MetricsReport", "detect_lobes", "directivity_error",
                 "directivity_over_region", "evaluate_all", "nmse", "side_lobe_ratio"),
     "surface": ("ConfigMatrix", "GroupLayout", "ReflectionState", "SurfaceSpec",
-                "UnitCellSpec", "build_surface", "expand_groups", "load_surface",
-                "load_unit_cell", "near_field_boundary", "uniform_config",
-                "validate_unit_cell"),
+                "UnitCellSpec", "build_surface", "expand_groups", "load_unit_cell",
+                "uniform_config"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_MODULE_OF)

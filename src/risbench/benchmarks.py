@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .errors import (
+    ConfigMismatch,
     ConfigParseError,
     GridMismatch,
     OverlappingLobes,
@@ -128,7 +129,8 @@ def ideal_target_field(bm: BenchmarkPattern, grid: GridSpec | None = None) -> Fi
     of the beam's half-plane.  A one-column target is too sparse to steer an
     optimizer on a 1-degree grid (22 of 64 800 samples), the same reason the
     metric integrals use a phi band.  The result is normalized to a peak of
-    exactly 1.
+    exactly 1; a grid with no theta sample inside any lobe raises
+    ``ConfigMismatch``, since no search can be scored against a zero target.
     """
     grid = grid or GridSpec()
     theta = grid.theta_deg()
@@ -151,9 +153,9 @@ def ideal_target_field(bm: BenchmarkPattern, grid: GridSpec | None = None) -> Fi
             rows = np.nonzero(inside)[0] + row_off
             values[np.ix_(rows, cols)] = lobe[:, None] * taper[None, :]
     peak = values.max()
-    if peak > 0.0:
-        values = values / peak
-    return FieldGrid(values=values.astype(complex), grid=grid)
+    if peak == 0.0:
+        raise ConfigMismatch(f"benchmark {bm.id}: no lobe contains a theta sample of {grid}")
+    return FieldGrid(values=(values / peak).astype(complex), grid=grid)
 
 
 def reference_unit_cell() -> UnitCellSpec:

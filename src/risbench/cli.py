@@ -148,18 +148,18 @@ def write_config_ppm(config, path: Path) -> None:
         fh.write(palette[states].tobytes())
 
 
-def _synthesize(surface, inputs: tuple, out: Path):
-    """Run the GA against the benchmark's ideal target, write best_config.csv,
-    history.csv and achieved_pattern.csv under ``out``, and score the best field
-    against the cached reference: ``(result, metrics)``."""
-    from .benchmarks import ideal_target_field, reference_pattern
+def _synthesize(surface, inputs: tuple, target, out: Path):
+    """Run the GA against ``target``, the benchmark's ideal target, write
+    best_config.csv, history.csv and achieved_pattern.csv under ``out``, and
+    score the best field against the cached reference: ``(result, metrics)``."""
+    from .benchmarks import reference_pattern
     from .field import write_field_csv
     from .ga import run_ga
     from .metrics import evaluate_all
     from .surface import write_config_csv
 
     src, grid, ga, bm = inputs
-    result = run_ga(surface, src, ideal_target_field(bm, grid), ga)
+    result = run_ga(surface, src, target, ga)
     write_config_csv(result.best_config, out / "best_config.csv")
     with open(out / "history.csv", "w") as fh:
         fh.write("generation,best_fitness\n")
@@ -197,21 +197,24 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    from .benchmarks import ideal_target_field
     from .control import complexity_report
 
     t0 = time.perf_counter()
     doc, cfg = _load_run_config(args)
     surface, _ = _resolve_surface(cfg)
     inputs = _run_inputs(cfg)
+    _, grid, ga, bm = inputs
+    target = ideal_target_field(bm, grid)
     report = complexity_report(surface, **cfg.get("control", {}))
     out = _output_dir(cfg, args.out)
 
-    result, metrics = _synthesize(surface, inputs, out)
+    result, metrics = _synthesize(surface, inputs, target, out)
     artifacts = {"best_config_csv": "best_config.csv", "history_csv": "history.csv",
                  "pattern_csv": "achieved_pattern.csv", "record_json": "run_record.json"}
     record = {
         "config": doc,
-        "seed": inputs[2].seed,
+        "seed": ga.seed,
         "tool_version": TOOL_VERSION,
         "wall_time_s": time.perf_counter() - t0,
         "metrics": metrics.to_dict(),
@@ -251,12 +254,15 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep_grouping(args) -> int:
     """``optimize`` once per group size, into ``g{G}/``, plus ``sweep.csv``."""
+    from .benchmarks import ideal_target_field
     from .control import complexity_report
     from .surface import build_surface
 
     _, cfg = _load_run_config(args)
     surface, _ = _resolve_surface(cfg)
     inputs = _run_inputs(cfg)
+    _, grid, _, bm = inputs
+    target = ideal_target_field(bm, grid)
     try:
         groups = [int(g) for g in args.groups.split(",")]
     except ValueError as exc:
@@ -271,7 +277,7 @@ def cmd_sweep_grouping(args) -> int:
     for g, surf_g, report in zip(groups, surfaces, reports):
         gdir = out / f"g{g}"
         gdir.mkdir(exist_ok=True)
-        _, metrics = _synthesize(surf_g, inputs, gdir)
+        _, metrics = _synthesize(surf_g, inputs, target, gdir)
         rows.append((g, metrics.de, metrics.nmse, metrics.slr_db,
                      report.physical_paths, report.switching_rate_hz))
 

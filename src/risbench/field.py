@@ -305,22 +305,6 @@ class FieldEvaluator:
         return FieldGrid(values=values.reshape(self.grid.shape), grid=self.grid)
 
 
-def field_planewave(surface: SurfaceSpec, config: ConfigMatrix, src: SourceModel,
-                    grid: GridSpec | None = None) -> FieldGrid:
-    """Far-field under planewave illumination."""
-    if src.kind != "planewave":
-        raise ConfigMismatch(f"expected a planewave source, got {src.kind!r}")
-    return FieldEvaluator(surface, src, grid or GridSpec()).field(config)
-
-
-def field_point_source(surface: SurfaceSpec, config: ConfigMatrix, src: SourceModel,
-                       grid: GridSpec | None = None) -> FieldGrid:
-    """Far-field under spherical-wavefront illumination from a point source."""
-    if src.kind != "point":
-        raise ConfigMismatch(f"expected a point source, got {src.kind!r}")
-    return FieldEvaluator(surface, src, grid or GridSpec()).field(config)
-
-
 def _column_index(grid: GridSpec, phi_value: float) -> int:
     hits = np.nonzero(phi_distance(grid.phi_deg(), phi_value) < 1e-9)[0]
     if hits.size == 0:
@@ -340,11 +324,6 @@ def principal_cut(gridval: FieldGrid) -> PrincipalCut:
     signed = np.concatenate([-np.arange(k_max, 0, -1), np.arange(0, k_max + 1)]) * step
     return PrincipalCut(signed_theta_deg=signed.astype(float),
                         magnitude=np.concatenate([neg, pos]))
-
-
-def normalize_grid(gridval: FieldGrid) -> FieldGrid:
-    """Scale so the peak magnitude is exactly 1; phases are untouched."""
-    return FieldGrid(values=gridval.values / peak_magnitude(gridval.values), grid=gridval.grid)
 
 
 def steering_config(surface: SurfaceSpec, theta_deg: float, phi_deg: float = 0.0) -> ConfigMatrix:

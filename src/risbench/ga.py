@@ -81,10 +81,7 @@ class _Objective:
         self.evaluations = 0
 
         t_mags = target.magnitude()
-        t_peak = float(t_mags.max())
-        if t_peak == 0.0:
-            raise NonPositiveParam("target field is identically zero")
-        t_norm = (t_mags / t_peak).ravel()
+        t_norm = (t_mags / peak_magnitude(t_mags)).ravel()
         if np.any(t_norm[self.evaluator.front_size:] != 0.0):
             raise NonPositiveParam("target carries power in the back hemisphere")
         self._diff = t_norm.copy()  # back entries stay t_norm - 0 = 0

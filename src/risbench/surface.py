@@ -6,10 +6,10 @@ the x-y plane, centered at the origin with normal +z.  Cell (m, n) sits at
 integers indexing the cell's reflection-coefficient table; groups of G
 cells share one state.
 
-``UnitCellSpec`` and ``SurfaceSpec`` check themselves when built: a cell runs
-``validate_unit_cell``, a surface its dimensions, pitch and group size.  So
-no invalid cell or surface exists, whether it came from a document or from
-the Python API.
+``UnitCellSpec`` and ``SurfaceSpec`` check themselves when built: a cell its
+bit and diode counts, state table, envelope exponent and frequency, a
+surface its dimensions, pitch and group size.  So no invalid cell or
+surface exists, whether it came from a document or from the Python API.
 """
 
 from __future__ import annotations
@@ -70,7 +70,25 @@ class UnitCellSpec:
     design_freq_hz: float
 
     def __post_init__(self):
-        validate_unit_cell(self)
+        check_positive(self.id, n_bits=self.n_bits, n_diodes=self.n_diodes,
+                       q_exponent=self.q_exponent, design_freq_hz=self.design_freq_hz)
+        if self.n_diodes < self.n_bits:
+            raise NonPositiveParam(
+                f"{self.id}: n_diodes ({self.n_diodes}) must be >= n_bits ({self.n_bits})"
+            )
+        expected = 2 ** self.n_bits
+        if len(self.states) != expected:
+            raise InvalidStateCount(
+                f"{self.id}: expected {expected} states for {self.n_bits} bits, "
+                f"got {len(self.states)}"
+            )
+        for i, st in enumerate(self.states):
+            if not 0.0 < st.gamma_mag <= 1.0:
+                raise InvalidGamma(f"{self.id} state {i}: magnitude {st.gamma_mag} outside (0, 1]")
+            if not 0.0 <= st.gamma_phase_deg < 360.0:
+                raise InvalidGamma(
+                    f"{self.id} state {i}: phase {st.gamma_phase_deg} deg outside [0, 360)"
+                )
 
     @property
     def n_states(self) -> int:
@@ -113,15 +131,6 @@ class SurfaceSpec:
         m = np.arange(self.rows_m, dtype=float)
         return (m - (self.rows_m - 1) / 2.0) * self.pitch_m
 
-    def cell_positions(self) -> np.ndarray:
-        """(M, N, 3) array of cell centers, z identically 0."""
-        x = self.cell_x()
-        y = self.cell_y()
-        pos = np.zeros((self.rows_m, self.cols_n, 3))
-        pos[:, :, 0] = x[None, :]
-        pos[:, :, 1] = y[:, None]
-        return pos
-
 
 @dataclass(frozen=True)
 class GroupLayout:
@@ -146,31 +155,6 @@ class ConfigMatrix:
 
     def __post_init__(self):
         self.states.setflags(write=False)
-
-
-def validate_unit_cell(spec: UnitCellSpec) -> UnitCellSpec:
-    """Check every cell invariant; return the spec unchanged if valid.
-    ``UnitCellSpec`` runs this when built."""
-    check_positive(spec.id, n_bits=spec.n_bits, n_diodes=spec.n_diodes,
-                   q_exponent=spec.q_exponent, design_freq_hz=spec.design_freq_hz)
-    if spec.n_diodes < spec.n_bits:
-        raise NonPositiveParam(
-            f"{spec.id}: n_diodes ({spec.n_diodes}) must be >= n_bits ({spec.n_bits})"
-        )
-    expected = 2 ** spec.n_bits
-    if len(spec.states) != expected:
-        raise InvalidStateCount(
-            f"{spec.id}: expected {expected} states for {spec.n_bits} bits, "
-            f"got {len(spec.states)}"
-        )
-    for i, st in enumerate(spec.states):
-        if not 0.0 < st.gamma_mag <= 1.0:
-            raise InvalidGamma(f"{spec.id} state {i}: magnitude {st.gamma_mag} outside (0, 1]")
-        if not 0.0 <= st.gamma_phase_deg < 360.0:
-            raise InvalidGamma(
-                f"{spec.id} state {i}: phase {st.gamma_phase_deg} deg outside [0, 360)"
-            )
-    return spec
 
 
 def default_pitch(cell: UnitCellSpec) -> float:
@@ -276,12 +260,6 @@ def read_config_csv(path: str | Path) -> ConfigMatrix:
     return ConfigMatrix(states=states)
 
 
-def near_field_boundary(aperture_diameter_m: float, wavelength_m: float) -> float:
-    """Far-field onset distance 2 D**2 / lambda for an aperture of diameter D."""
-    check_positive(aperture_diameter_m=aperture_diameter_m, wavelength_m=wavelength_m)
-    return 2.0 * aperture_diameter_m ** 2 / wavelength_m
-
-
 # -- JSON ingest --------------------------------------------------------------
 #
 # Cell document:    {id, n_bits, n_diodes, states: [{mag, phase_deg}], q,
@@ -362,8 +340,3 @@ def load_unit_cell(ref: str | Path) -> UnitCellSpec:
     """Load a cell by bundled id (S0..S5) or from a JSON file."""
     return cell_from_document(read_json_document(ref, "cell spec", CELL_DOCUMENTS), str(ref))
 
-
-def load_surface(path: str | Path) -> tuple[SurfaceSpec, GroupLayout]:
-    """Load a surface document; its cell_id may be bundled or a sibling path."""
-    path = Path(path)
-    return surface_from_document(read_json_document(path, "surface spec"), path)

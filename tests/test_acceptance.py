@@ -14,14 +14,12 @@ import pytest
 
 from risbench.benchmarks import ideal_target_field, load_benchmark
 from risbench.cli import main as cli_main
-from risbench.control import max_power, power_per_area, switching_rate
+from risbench.control import complexity_report
 from risbench.field import (
     FieldEvaluator,
     FieldGrid,
     GridSpec,
     SourceModel,
-    field_planewave,
-    field_point_source,
     principal_cut,
     steering_config,
 )
@@ -61,14 +59,15 @@ def report(criterion, text):
 def test_01_table_power_per_area():
     expected = {"S1": 44.0, "S2": 27.7, "S3": 9.46, "S4": 58.8, "S5": 12.8}
     for cid, want in expected.items():
-        cell = load_unit_cell(cid)
-        got = power_per_area(cell.n_diodes, 8e-3, cell.design_freq_hz)
+        surf, _ = build_surface(load_unit_cell(cid), 40, 40)
+        got = complexity_report(surf, diode_power_w=8e-3).power_per_area_w_m2
         assert abs(got - want) / want < 0.02, f"{cid}: {got:.3f} vs {want}"
     report(1, "S1..S5 power per area within 2% of published values")
 
 
 def test_02_switching_rate_worked_example():
-    rate = switching_rate(2, 40, 40, 40, 2, 20e-9)
+    surf, _ = build_surface(load_unit_cell("S4"), 40, 40, 2)  # a 2-bit cell
+    rate = complexity_report(surf, pins_k=40, tau_s=20e-9).switching_rate_hz
     assert math.isclose(rate, 1.25e6, rel_tol=1e-12)
     assert math.isclose(1.0 / rate, 0.8e-6, rel_tol=1e-12)
     report(2, "G=2, K=40, 40x40, n=2, tau=20ns gives 1.25 MHz and 0.8 us")
@@ -77,7 +76,7 @@ def test_02_switching_rate_worked_example():
 def test_03_field_engine_analytic_checks():
     # two cells half a wavelength apart along x
     surf, _ = build_surface(ideal_one_bit(), 1, 2)
-    fg = field_planewave(surf, uniform_config(surf), PW)
+    fg = FieldEvaluator(surf, PW, GRID).field(uniform_config(surf))
     assert abs(abs(fg.values[0, 0]) - 2.0) <= 1e-12
     assert abs(fg.values[90, 0]) <= 1e-12
 
@@ -93,14 +92,14 @@ def test_03_field_engine_analytic_checks():
                        q_exponent=1.0, width_m=.015, height_m=.015, design_freq_hz=10e9)
     sb, _ = build_surface(base, 16, 16)
     so, _ = build_surface(off, 16, 16)
-    m1 = np.abs(field_planewave(sb, cfg, PW).values)
-    m2 = np.abs(field_planewave(so, cfg, PW).values)
+    m1 = np.abs(FieldEvaluator(sb, PW, GRID).field(cfg).values)
+    m2 = np.abs(FieldEvaluator(so, PW, GRID).field(cfg).values)
     assert np.max(np.abs(m1 - m2)) <= 1e-12 * m1.max()
 
     # uniform lossless broadside equals the cell count exactly
     s0 = load_unit_cell("S0")
     surf40, _ = build_surface(s0, 40, 40)
-    f40 = field_planewave(surf40, uniform_config(surf40), PW)
+    f40 = FieldEvaluator(surf40, PW, GRID).field(uniform_config(surf40))
     assert f40.values[0, 0] == complex(1600)
     report(3, "half-wave pair peak/null, phase-offset invariance, exact M*N broadside")
 
@@ -110,8 +109,8 @@ def test_04_point_source_planewave_limit():
     surf, _ = build_surface(s0, 40, 40)
     cfg = uniform_config(surf)
     src = SourceModel.point((0.0, 0.0, 1e6 * s0.wavelength_m))
-    fpt = field_point_source(surf, cfg, src)
-    fpw = field_planewave(surf, cfg, PW)
+    fpt = FieldEvaluator(surf, src, GRID).field(cfg)
+    fpw = FieldEvaluator(surf, PW, GRID).field(cfg)
     na = np.abs(fpt.values) / np.abs(fpt.values).max()
     nb = np.abs(fpw.values) / np.abs(fpw.values).max()
     dev = float(np.max(np.abs(na - nb)))
@@ -122,7 +121,7 @@ def test_04_point_source_planewave_limit():
 def test_05_quantization_mirror_lobe():
     def mirror_gap_db(cell):
         surf, _ = build_surface(cell, 40, 40)
-        fg = field_planewave(surf, steering_config(surf, 30.0), PW)
+        fg = FieldEvaluator(surf, PW, GRID).field(steering_config(surf, 30.0))
         cut = principal_cut(fg)
         p = cut.magnitude ** 2
         s = cut.signed_theta_deg
@@ -185,13 +184,13 @@ def test_07_directivity_riemann_oracle():
 def test_08_ga_attains_oracle_optimum():
     surf1, _ = build_surface(ideal_one_bit(), 2, 2)
     cfg = ConfigMatrix(states=np.array([[0, 1], [1, 0]]))
-    target1 = field_planewave(surf1, cfg, PW)
+    target1 = FieldEvaluator(surf1, PW, GRID).field(cfg)
     _, opt1 = exhaustive_search(surf1, PW, target1)
     res1 = run_ga(surf1, PW, target1, GAParams(seed=42))
     assert abs(res1.best_fitness - opt1) < 1e-15
 
     surf2, _ = build_surface(load_unit_cell("S0"), 1, 2)
-    target2 = field_planewave(surf2, ConfigMatrix(states=np.array([[3, 1]])), PW)
+    target2 = FieldEvaluator(surf2, PW, GRID).field(ConfigMatrix(states=np.array([[3, 1]])))
     _, opt2 = exhaustive_search(surf2, PW, target2)
     res2 = run_ga(surf2, PW, target2, GAParams(seed=42))
     assert abs(res2.best_fitness - opt2) < 1e-15
@@ -201,14 +200,16 @@ def test_08_ga_attains_oracle_optimum():
 def test_09_grouping_subset_property():
     surf_a1, _ = build_surface(ideal_one_bit(), 2, 2, group_size=1)
     surf_a2, _ = build_surface(ideal_one_bit(), 2, 2, group_size=2)
-    target_a = field_planewave(surf_a1, ConfigMatrix(states=np.array([[0, 1], [1, 0]])), PW)
+    cfg_a = ConfigMatrix(states=np.array([[0, 1], [1, 0]]))
+    target_a = FieldEvaluator(surf_a1, PW, GRID).field(cfg_a)
     _, f1 = exhaustive_search(surf_a1, PW, target_a)
     _, f2 = exhaustive_search(surf_a2, PW, target_a)
     assert f2 <= f1 + 1e-15
 
     surf_b1, _ = build_surface(load_unit_cell("S0"), 1, 4, group_size=1)
     surf_b2, _ = build_surface(load_unit_cell("S0"), 1, 4, group_size=2)
-    target_b = field_planewave(surf_b1, ConfigMatrix(states=np.array([[0, 1, 2, 3]])), PW)
+    cfg_b = ConfigMatrix(states=np.array([[0, 1, 2, 3]]))
+    target_b = FieldEvaluator(surf_b1, PW, GRID).field(cfg_b)
     _, g1 = exhaustive_search(surf_b1, PW, target_b)
     _, g2 = exhaustive_search(surf_b2, PW, target_b)
     assert g2 <= g1 + 1e-15

@@ -53,6 +53,12 @@ def _beam(doc, tmp, **edit):
     doc["benchmark_ref"] = _write(tmp, "bm.json", json.dumps(bm))
 
 
+def _lobe_between_samples(doc, tmp):
+    """The benchmark's only lobe, [12, 18] deg, holds no theta of a 10 deg grid."""
+    _beam(doc, tmp, theta_deg=15.0, start_deg=12.0, end_deg=18.0)
+    doc["grid"]["theta_step_deg"] = 10.0
+
+
 # Run configs that must stop with a configuration error (exit 2) before any
 # output: (subcommand, edit of the valid run-config document).
 BAD_CONFIGS = {
@@ -103,6 +109,8 @@ BAD_CONFIGS = {
     "control.pins_k_zero": ("optimize", lambda doc, tmp: doc.update(control={"pins_k": 0})),
     "control.pins_k_zero_sweep": (
         "sweep-grouping", lambda doc, tmp: doc.update(control={"pins_k": 0})),
+    "lobe_between_samples": ("optimize", _lobe_between_samples),
+    "lobe_between_samples_sweep": ("sweep-grouping", _lobe_between_samples),
     "config_ref_malformed": ("simulate", lambda doc, tmp: doc.update(
         config_ref=_write(tmp, "cfg.csv", "0,1,0,1,0,1\n" * 5 + "a,1,0,1,0,1\n"))),
     "config_ref_wrong_shape": ("simulate", lambda doc, tmp: doc.update(

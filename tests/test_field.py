@@ -19,9 +19,7 @@ from risbench.field import (
     FieldGrid,
     GridSpec,
     SourceModel,
-    field_planewave,
-    field_point_source,
-    normalize_grid,
+    peak_magnitude,
     principal_cut,
     radiation_factor,
     read_field_csv,
@@ -47,6 +45,7 @@ def ideal_cell(n_bits=1, phases=(0.0, 180.0), q=1.0, f_hz=10e9):
 
 
 PW = SourceModel.planewave()
+GRID = GridSpec()
 
 
 class TestRadiationFactor:
@@ -113,30 +112,30 @@ class TestGridSpec:
 class TestPlanewave:
     def test_single_cell_unity(self):
         surf, _ = build_surface(ideal_cell(), 1, 1)
-        fg = field_planewave(surf, uniform_config(surf), PW)
+        fg = FieldEvaluator(surf, PW, GRID).field(uniform_config(surf))
         assert fg.values[0, 0] == 1.0 + 0.0j
 
     def test_half_wave_pair_broadside_and_null(self):
         surf, _ = build_surface(ideal_cell(), 1, 2)
-        fg = field_planewave(surf, uniform_config(surf), PW)
+        fg = FieldEvaluator(surf, PW, GRID).field(uniform_config(surf))
         assert abs(abs(fg.values[0, 0]) - 2.0) < 1e-12
         assert abs(fg.values[90, 0]) < 1e-12
 
     def test_uniform_broadside_is_cell_count(self):
         surf, _ = build_surface(ideal_cell(n_bits=2, phases=(0, 90, 180, 270)), 12, 9)
-        fg = field_planewave(surf, uniform_config(surf), PW)
+        fg = FieldEvaluator(surf, PW, GRID).field(uniform_config(surf))
         assert fg.values[0, 0] == complex(12 * 9)
 
     def test_back_hemisphere_zero(self):
         surf, _ = build_surface(ideal_cell(), 3, 3)
-        fg = field_planewave(surf, uniform_config(surf), PW)
+        fg = FieldEvaluator(surf, PW, GRID).field(uniform_config(surf))
         assert np.all(fg.values[91:] == 0.0)
 
     def test_linearity_in_amplitude(self):
         surf, _ = build_surface(ideal_cell(), 4, 4)
         cfg = steering_config(surf, 17.0)
-        f1 = field_planewave(surf, cfg, SourceModel.planewave(amplitude=1.0))
-        f3 = field_planewave(surf, cfg, SourceModel.planewave(amplitude=3.0))
+        f1 = FieldEvaluator(surf, SourceModel.planewave(amplitude=1.0), GRID).field(cfg)
+        f3 = FieldEvaluator(surf, SourceModel.planewave(amplitude=3.0), GRID).field(cfg)
         scale = np.abs(f1.values).max()
         np.testing.assert_allclose(f3.values, 3.0 * f1.values,
                                    rtol=1e-12, atol=1e-13 * scale)
@@ -148,29 +147,23 @@ class TestPlanewave:
         shifted = ideal_cell(n_bits=2, phases=(37, 127, 217, 307))
         s1, _ = build_surface(base, 8, 8)
         s2, _ = build_surface(shifted, 8, 8)
-        m1 = np.abs(field_planewave(s1, cfg, PW).values)
-        m2 = np.abs(field_planewave(s2, cfg, PW).values)
+        m1 = np.abs(FieldEvaluator(s1, PW, GRID).field(cfg).values)
+        m2 = np.abs(FieldEvaluator(s2, PW, GRID).field(cfg).values)
         assert np.max(np.abs(m1 - m2)) <= 1e-12 * m1.max()
 
     def test_oblique_incidence_moves_specular_beam(self):
         surf, _ = build_surface(ideal_cell(), 24, 24)
         src = SourceModel.planewave(theta_inc_deg=20.0, phi_inc_deg=0.0)
-        fg = field_planewave(surf, uniform_config(surf), src)
+        fg = FieldEvaluator(surf, src, GRID).field(uniform_config(surf))
         cut = principal_cut(fg)
         peak = cut.signed_theta_deg[np.argmax(cut.magnitude)]
         assert abs(peak - (-20.0)) <= 1.0
-
-    def test_wrong_source_kind(self):
-        surf, _ = build_surface(ideal_cell(), 2, 2)
-        src = SourceModel.point((0, 0, 1.0))
-        with pytest.raises(ConfigMismatch):
-            field_planewave(surf, uniform_config(surf), src)
 
     def test_config_shape_mismatch(self):
         surf, _ = build_surface(ideal_cell(), 2, 2)
         bad = ConfigMatrix(states=np.zeros((3, 2), dtype=np.int64))
         with pytest.raises(ConfigMismatch):
-            field_planewave(surf, bad, PW)
+            FieldEvaluator(surf, PW, GRID).field(bad)
 
     @pytest.mark.parametrize("amplitude", [math.nan, math.inf])
     def test_amplitude_must_be_finite(self, amplitude):
@@ -188,7 +181,7 @@ class TestPointSource:
         cell = ideal_cell(f_hz=299_792_458.0)  # wavelength exactly 1 m
         surf, _ = build_surface(cell, 1, 1)
         src = SourceModel.point((0.0, 0.0, 1.0), amplitude=1.0)
-        fg = field_point_source(surf, uniform_config(surf), src)
+        fg = FieldEvaluator(surf, src, GRID).field(uniform_config(surf))
         assert np.isclose(fg.values[0, 0].real, 1.0, rtol=1e-12)
         assert np.isclose(abs(fg.values[0, 0]), 1.0, rtol=1e-12)
 
@@ -216,8 +209,9 @@ class TestPointSource:
         near = SourceModel.point((0.0, 0.0, 5 * lam))
         surf, _ = build_surface(cell, 1, 1)
         far_off = SourceModel.point((20 * lam, 0.0, 5 * lam))
-        e_center = abs(field_point_source(surf, uniform_config(surf), near).values[0, 0])
-        e_offset = abs(field_point_source(surf, uniform_config(surf), far_off).values[0, 0])
+        cfg = uniform_config(surf)
+        e_center = abs(FieldEvaluator(surf, near, GRID).field(cfg).values[0, 0])
+        e_offset = abs(FieldEvaluator(surf, far_off, GRID).field(cfg).values[0, 0])
         assert e_offset < e_center
 
     def test_far_source_matches_planewave(self):
@@ -225,8 +219,8 @@ class TestPointSource:
         surf, _ = build_surface(cell, 16, 16)
         cfg = steering_config(surf, 25.0)
         src = SourceModel.point((0.0, 0.0, 1e6 * cell.wavelength_m))
-        fpt = field_point_source(surf, cfg, src)
-        fpw = field_planewave(surf, cfg, PW)
+        fpt = FieldEvaluator(surf, src, GRID).field(cfg)
+        fpw = FieldEvaluator(surf, PW, GRID).field(cfg)
         na = np.abs(fpt.values) / np.abs(fpt.values).max()
         nb = np.abs(fpw.values) / np.abs(fpw.values).max()
         assert np.max(np.abs(na - nb)) < 1e-3
@@ -295,7 +289,7 @@ class TestFidelity:
 class TestPrincipalCut:
     def test_signed_axis_layout(self):
         surf, _ = build_surface(ideal_cell(), 4, 4)
-        fg = field_planewave(surf, uniform_config(surf), PW)
+        fg = FieldEvaluator(surf, PW, GRID).field(uniform_config(surf))
         cut = principal_cut(fg)
         assert cut.signed_theta_deg[0] == -90.0
         assert cut.signed_theta_deg[-1] == 90.0
@@ -303,7 +297,7 @@ class TestPrincipalCut:
 
     def test_values_come_from_named_columns(self):
         surf, _ = build_surface(ideal_cell(), 4, 4)
-        fg = field_planewave(surf, steering_config(surf, 30.0), PW)
+        fg = FieldEvaluator(surf, PW, GRID).field(steering_config(surf, 30.0))
         cut = principal_cut(fg)
         mags = np.abs(fg.values)
         i30 = np.nonzero(cut.signed_theta_deg == 30.0)[0][0]
@@ -315,7 +309,7 @@ class TestPrincipalCut:
 
     def test_symmetric_config_mirror(self):
         surf, _ = build_surface(ideal_cell(), 5, 5)
-        fg = field_planewave(surf, uniform_config(surf), PW)
+        fg = FieldEvaluator(surf, PW, GRID).field(uniform_config(surf))
         cut = principal_cut(fg)
         np.testing.assert_allclose(cut.magnitude, cut.magnitude[::-1], rtol=1e-10)
 
@@ -328,25 +322,24 @@ class TestPrincipalCut:
 
 
 class TestNormalize:
+    # peak_magnitude is the scale every peak-normalized comparison divides by.
     def test_peak_becomes_one(self):
         surf, _ = build_surface(ideal_cell(), 4, 4)
-        fg = field_planewave(surf, uniform_config(surf), PW)
-        assert np.abs(normalize_grid(fg).values).max() == 1.0
+        values = FieldEvaluator(surf, PW, GRID).field(uniform_config(surf)).values
+        assert np.abs(values / peak_magnitude(values)).max() == 1.0
 
     def test_scale_invariance(self):
         surf, _ = build_surface(ideal_cell(), 4, 4)
-        fg = field_planewave(surf, steering_config(surf, 10.0), PW)
-        n1 = normalize_grid(fg)
-        scaled = FieldGrid(values=fg.values * 4.0, grid=fg.grid)
-        n2 = normalize_grid(scaled)
-        assert np.array_equal(n1.values, n2.values)
-        n3 = normalize_grid(FieldGrid(values=fg.values * 5.0, grid=fg.grid))
-        np.testing.assert_allclose(n3.values, n1.values, rtol=1e-12)
+        values = FieldEvaluator(surf, PW, GRID).field(steering_config(surf, 10.0)).values
+        n1 = values / peak_magnitude(values)
+        n2 = values * 4.0 / peak_magnitude(values * 4.0)
+        assert np.array_equal(n1, n2)
+        n3 = values * 5.0 / peak_magnitude(values * 5.0)
+        np.testing.assert_allclose(n3, n1, rtol=1e-12)
 
     def test_all_zero_rejected(self):
-        fg = FieldGrid(values=np.zeros((180, 360), dtype=complex), grid=GridSpec())
         with pytest.raises(AllZeroField):
-            normalize_grid(fg)
+            peak_magnitude(np.zeros((180, 360), dtype=complex))
 
 
 class TestSteeringConfig:
@@ -371,7 +364,7 @@ class TestSteeringConfig:
     def test_steered_beam_lands_near_request(self):
         cell = load_unit_cell("S0")
         surf, _ = build_surface(cell, 32, 32)
-        fg = field_planewave(surf, steering_config(surf, 40.0), PW)
+        fg = FieldEvaluator(surf, PW, GRID).field(steering_config(surf, 40.0))
         cut = principal_cut(fg)
         peak = cut.signed_theta_deg[np.argmax(cut.magnitude)]
         assert abs(peak - 40.0) <= 2.0
@@ -387,7 +380,7 @@ class TestStateCoefficients:
 class TestFieldCsv:
     def test_round_trip(self, tmp_path):
         surf, _ = build_surface(ideal_cell(), 4, 4)
-        fg = field_planewave(surf, steering_config(surf, 22.0), PW)
+        fg = FieldEvaluator(surf, PW, GRID).field(steering_config(surf, 22.0))
         path = tmp_path / "pattern.csv"
         write_field_csv(fg, path)
         header = path.read_text().splitlines()[0]
@@ -414,7 +407,7 @@ class TestFieldCsv:
 
     def test_row_count(self, tmp_path):
         surf, _ = build_surface(ideal_cell(), 2, 2)
-        fg = field_planewave(surf, uniform_config(surf), PW)
+        fg = FieldEvaluator(surf, PW, GRID).field(uniform_config(surf))
         path = tmp_path / "pattern.csv"
         write_field_csv(fg, path)
         assert len(path.read_text().splitlines()) == 180 * 360 + 1
@@ -435,7 +428,7 @@ class TestFieldCsv:
         # Every theta and phi value still appears and the row count is right,
         # but one grid point is missing and another appears twice.
         surf, _ = build_surface(ideal_cell(), 4, 4)
-        fg = field_planewave(surf, steering_config(surf, 22.0), PW, GridSpec(30.0, 90.0))
+        fg = FieldEvaluator(surf, PW, GridSpec(30.0, 90.0)).field(steering_config(surf, 22.0))
         path = tmp_path / "pattern.csv"
         write_field_csv(fg, path)
         lines = path.read_text().splitlines()

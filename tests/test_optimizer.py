@@ -5,7 +5,7 @@ import pytest
 
 from risbench.benchmarks import ideal_target_field, load_benchmark
 from risbench.errors import NonPositiveParam, SearchSpaceTooLarge
-from risbench.field import GridSpec, SourceModel, field_planewave, normalize_grid
+from risbench.field import FieldEvaluator, FieldGrid, GridSpec, SourceModel, peak_magnitude
 from risbench.ga import GAParams, _Objective, exhaustive_search, fitness, run_ga
 from risbench.surface import (
     ConfigMatrix,
@@ -16,6 +16,7 @@ from risbench.surface import (
 )
 
 PW = SourceModel.planewave()
+GRID = GridSpec()
 
 
 def one_bit_cell(mags=(1.0, 1.0)):
@@ -26,9 +27,13 @@ def one_bit_cell(mags=(1.0, 1.0)):
                         design_freq_hz=10e9)
 
 
+def normalized(field):
+    return FieldGrid(values=field.values / peak_magnitude(field.values), grid=field.grid)
+
+
 def reachable_target(surface, states):
     cfg = ConfigMatrix(states=np.asarray(states, dtype=np.int64))
-    return normalize_grid(field_planewave(surface, cfg, PW))
+    return normalized(FieldEvaluator(surface, PW, GRID).field(cfg))
 
 
 class TestGAParams:
@@ -53,7 +58,7 @@ class TestFitness:
         surf, _ = build_surface(one_bit_cell(), 2, 2)
         states = [[0, 1], [1, 0]]
         cfg = ConfigMatrix(states=np.array(states))
-        target = field_planewave(surf, cfg, PW)  # bitwise-identical achieved field
+        target = FieldEvaluator(surf, PW, GRID).field(cfg)  # bitwise-identical achieved field
         assert fitness(cfg, target, surf, PW) == 0.0
 
     def test_always_nonpositive(self):
@@ -103,7 +108,7 @@ class TestRunGa:
         surf, _ = build_surface(one_bit_cell(), 2, 3)
         target = reachable_target(surf, [[0, 1, 0], [1, 0, 1]])
         res = run_ga(surf, PW, target, GAParams(population=10, generations=4, seed=1))
-        rendered = field_planewave(surf, res.best_config, PW, target.grid)
+        rendered = FieldEvaluator(surf, PW, target.grid).field(res.best_config)
         assert np.array_equal(res.best_field.values, rendered.values)
 
     def test_history_monotone_and_sized(self):
@@ -140,8 +145,8 @@ class TestRunGa:
         # ten times the generations must not cost more memory.
         surf, _ = build_surface(load_unit_cell("S0"), 20, 20)
         states = np.random.default_rng(0).integers(0, 4, size=(20, 20))
-        target = normalize_grid(field_planewave(
-            surf, ConfigMatrix(states=states), PW, GridSpec(30.0, 30.0)))
+        target = normalized(FieldEvaluator(surf, PW, GridSpec(30.0, 30.0)).field(
+            ConfigMatrix(states=states)))
         peaks = {}
         for generations in (30, 300):
             params = GAParams(population=10, generations=generations, seed=7)

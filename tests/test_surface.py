@@ -20,11 +20,10 @@ from risbench.surface import (
     build_surface,
     expand_groups,
     group_layout,
-    load_surface,
     load_unit_cell,
-    near_field_boundary,
+    read_json_document,
+    surface_from_document,
     uniform_config,
-    validate_unit_cell,
 )
 
 
@@ -37,40 +36,41 @@ def make_cell(n_bits=1, n_diodes=1, states=None, q=1.0, f_hz=11.1e9):
 
 
 class TestValidateUnitCell:
+    # UnitCellSpec checks itself when built.
     def test_table_row_s1_is_valid(self):
         cell = make_cell()
-        assert validate_unit_cell(cell) is cell
+        assert (cell.n_bits, cell.n_diodes, cell.n_states) == (1, 1, 2)
 
     def test_wrong_state_count(self):
         states = (ReflectionState(0.9, 0.0), ReflectionState(0.9, 90.0),
                   ReflectionState(0.9, 180.0))
         with pytest.raises(InvalidStateCount):
-            validate_unit_cell(make_cell(n_bits=2, n_diodes=2, states=states))
+            make_cell(n_bits=2, n_diodes=2, states=states)
 
     def test_gamma_above_one(self):
         states = (ReflectionState(1.2, 0.0), ReflectionState(0.9, 180.0))
         with pytest.raises(InvalidGamma):
-            validate_unit_cell(make_cell(states=states))
+            make_cell(states=states)
 
     def test_gamma_zero(self):
         states = (ReflectionState(0.0, 0.0), ReflectionState(0.9, 180.0))
         with pytest.raises(InvalidGamma):
-            validate_unit_cell(make_cell(states=states))
+            make_cell(states=states)
 
     def test_phase_out_of_range(self):
         states = (ReflectionState(0.9, 0.0), ReflectionState(0.9, 360.0))
         with pytest.raises(InvalidGamma):
-            validate_unit_cell(make_cell(states=states))
+            make_cell(states=states)
 
     def test_nonpositive_q(self):
         for q in (0.0, np.nan, np.inf):  # nan and inf pass a `q <= 0` test
             with pytest.raises(NonPositiveParam, match="^test: q_exponent"):
-                validate_unit_cell(make_cell(q=q))
+                make_cell(q=q)
 
     def test_diodes_fewer_than_bits(self):
         states = tuple(ReflectionState(0.9, 90.0 * i) for i in range(4))
         with pytest.raises(NonPositiveParam):
-            validate_unit_cell(make_cell(n_bits=2, n_diodes=1, states=states))
+            make_cell(n_bits=2, n_diodes=1, states=states)
 
 
 class TestBuildSurface:
@@ -109,19 +109,20 @@ class TestBuildSurface:
         import math
 
         surf, _ = build_surface(make_cell(), 7, 12, 1)
-        pos = surf.cell_positions()
-        # mirror cells cancel exactly, so the correctly rounded sum is 0
-        assert math.fsum(pos[:, :, 0].ravel()) == 0.0
-        assert math.fsum(pos[:, :, 1].ravel()) == 0.0
-        assert np.array_equal(pos, -pos[::-1, ::-1, :])
-        assert np.all(pos[:, :, 2] == 0.0)
+        x, y = surf.cell_x(), surf.cell_y()
+        # mirror cells cancel exactly, so the correctly rounded sum is 0; the
+        # folded field kernel relies on x[N-1-n] = -x[n] and y[M-1-m] = -y[m]
+        assert math.fsum(x) == 0.0
+        assert math.fsum(y) == 0.0
+        assert np.array_equal(x, -x[::-1])
+        assert np.array_equal(y, -y[::-1])
 
     def test_position_formula(self):
         surf, _ = build_surface(make_cell(), 2, 3, 1, pitch_m=0.01)
-        # cell (0, 0) at ((0 - 1) * p, (0 - 0.5) * p, 0)
-        pos = surf.cell_positions()
-        assert np.allclose(pos[0, 0], [-0.01, -0.005, 0.0])
-        assert np.allclose(pos[1, 2], [0.01, 0.005, 0.0])
+        # cell (m, n) at ((n - 1) * p, (m - 0.5) * p, 0)
+        x, y = surf.cell_x(), surf.cell_y()
+        assert np.allclose([x[0], y[0]], [-0.01, -0.005])
+        assert np.allclose([x[2], y[1]], [0.01, 0.005])
 
 
 class TestGrouping:
@@ -156,29 +157,6 @@ class TestGrouping:
             expand_groups([0, 4, 0, 0], layout, 2)
 
 
-class TestNearFieldBoundary:
-    def test_hand_evaluated(self):
-        assert np.isclose(near_field_boundary(0.1, 0.027027), 0.74, rtol=1e-3)
-
-    def test_simple_ratio(self):
-        assert near_field_boundary(1.0, 0.5) == 4.0
-
-    def test_zero_diameter_errors(self):
-        with pytest.raises(NonPositiveParam):
-            near_field_boundary(0.0, 0.5)
-
-    def test_nan_diameter_errors(self):
-        with pytest.raises(NonPositiveParam):
-            near_field_boundary(np.nan, 0.5)
-
-    def test_quadratic_scaling_in_aperture(self):
-        pitch = 0.0135
-        d1 = np.sqrt(2) * 39 * pitch
-        d2 = np.sqrt(2) * 79 * pitch
-        r = near_field_boundary(d2, 0.027) / near_field_boundary(d1, 0.027)
-        assert np.isclose(r, (79 / 39) ** 2)
-
-
 class TestJsonIngest:
     @pytest.mark.parametrize("cid,n_bits,n_states", [
         ("S0", 2, 4), ("S1", 1, 2), ("S2", 1, 2), ("S3", 2, 4),
@@ -210,7 +188,7 @@ class TestJsonIngest:
         doc = {"cell_id": "S2", "M": 8, "N": 10, "G": 2, "pitch_mm": 17.0}
         path = tmp_path / "surf.json"
         path.write_text(json.dumps(doc))
-        surf, layout = load_surface(path)
+        surf, layout = surface_from_document(read_json_document(path, "surface spec"), path)
         assert (surf.rows_m, surf.cols_n, surf.group_size) == (8, 10, 2)
         assert surf.pitch_m == 17.0e-3
         assert surf.cell.id == "S2"
