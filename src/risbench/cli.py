@@ -148,17 +148,16 @@ def write_config_ppm(config, path: Path) -> None:
         fh.write(palette[states].tobytes())
 
 
-def _synthesize(surface, inputs: tuple, target, out: Path):
+def _synthesize(surface, inputs: tuple, target, reference, out: Path):
     """Run the GA against ``target``, the benchmark's ideal target, write
     best_config.csv, history.csv and achieved_pattern.csv under ``out``, and
-    score the best field against the cached reference: ``(result, metrics)``."""
-    from .benchmarks import reference_pattern
+    score the best field against ``reference``: ``(result, metrics)``."""
     from .field import write_field_csv
     from .ga import run_ga
     from .metrics import evaluate_all
     from .surface import write_config_csv
 
-    src, grid, ga, bm = inputs
+    src, _, ga, bm = inputs
     result = run_ga(surface, src, target, ga)
     write_config_csv(result.best_config, out / "best_config.csv")
     with open(out / "history.csv", "w") as fh:
@@ -166,8 +165,6 @@ def _synthesize(surface, inputs: tuple, target, out: Path):
         for g, f in enumerate(result.history, start=1):
             fh.write(f"{g},{f:.9g}\n")
     write_field_csv(result.best_field, out / "achieved_pattern.csv")
-
-    reference, _ = reference_pattern(bm, src, ga.seed, ga_params=ga, grid=grid)
     return result, evaluate_all(reference, result.best_field, bm)
 
 
@@ -197,19 +194,20 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    from .benchmarks import ideal_target_field
+    from .benchmarks import ideal_target_field, reference_pattern
     from .control import complexity_report
 
     t0 = time.perf_counter()
     doc, cfg = _load_run_config(args)
     surface, _ = _resolve_surface(cfg)
     inputs = _run_inputs(cfg)
-    _, grid, ga, bm = inputs
+    src, grid, ga, bm = inputs
     target = ideal_target_field(bm, grid)
     report = complexity_report(surface, **cfg.get("control", {}))
     out = _output_dir(cfg, args.out)
 
-    result, metrics = _synthesize(surface, inputs, target, out)
+    reference, _ = reference_pattern(bm, src, ga.seed, ga_params=ga, grid=grid)
+    result, metrics = _synthesize(surface, inputs, target, reference, out)
     artifacts = {"best_config_csv": "best_config.csv", "history_csv": "history.csv",
                  "pattern_csv": "achieved_pattern.csv", "record_json": "run_record.json"}
     record = {
@@ -254,14 +252,14 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep_grouping(args) -> int:
     """``optimize`` once per group size, into ``g{G}/``, plus ``sweep.csv``."""
-    from .benchmarks import ideal_target_field
+    from .benchmarks import ideal_target_field, reference_pattern
     from .control import complexity_report
     from .surface import build_surface
 
     _, cfg = _load_run_config(args)
     surface, _ = _resolve_surface(cfg)
     inputs = _run_inputs(cfg)
-    _, grid, _, bm = inputs
+    src, grid, ga, bm = inputs
     target = ideal_target_field(bm, grid)
     try:
         groups = [int(g) for g in args.groups.split(",")]
@@ -273,11 +271,12 @@ def cmd_sweep_grouping(args) -> int:
     reports = [complexity_report(surf_g, **cfg.get("control", {})) for surf_g in surfaces]
     out = _output_dir(cfg, args.out)
 
+    reference, _ = reference_pattern(bm, src, ga.seed, ga_params=ga, grid=grid)
     rows = []
     for g, surf_g, report in zip(groups, surfaces, reports):
         gdir = out / f"g{g}"
         gdir.mkdir(exist_ok=True)
-        _, metrics = _synthesize(surf_g, inputs, target, gdir)
+        _, metrics = _synthesize(surf_g, inputs, target, reference, gdir)
         rows.append((g, metrics.de, metrics.nmse, metrics.slr_db,
                      report.physical_paths, report.switching_rate_hz))
 
@@ -374,8 +373,11 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.threads is not None:
+        if args.threads < 1:
+            parser.error(f"--threads must be at least 1, got {args.threads}")
         # Must land before numpy loads its BLAS; handlers import lazily.
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(args.threads)

@@ -5,9 +5,9 @@ grouping shrinks the search space and models shared control lines with the
 same mechanism.  Fitness is the negated NMSE between the achieved field and
 the target; DE and SLR stay evaluation-only.  All randomness comes from one
 seeded generator consumed in a fixed order, so a seed pins the entire run.
-The population's fitness array is the only record of scores: a child equal
-to one of its parents keeps that parent's score, and every other chromosome
-is scored by the objective.
+Each generation is bred in full and then scored: a child equal to a member
+of the current population, or to a child already scored in the same
+generation, keeps that score, so no record outlives one generation.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class GAResult:
     best_field: FieldGrid       # far field of best_config on the target's grid
     best_fitness: float
     history: tuple[float, ...]  # best fitness after each generation, non-decreasing
-    evaluations: int            # objective calls; a child equal to a parent keeps its score
+    evaluations: int            # initial population + distinct new chromosomes per generation
 
 
 class _Objective:
@@ -127,8 +127,7 @@ def run_ga(surface: SurfaceSpec, src: SourceModel, target: FieldGrid,
     for _ in range(params.generations):
         elites = np.argsort(-fits, kind="stable")[: params.elitism]
         children = np.empty((params.population - params.elitism, n_genes), dtype=np.int64)
-        child_fits = np.empty(children.shape[0])
-        for i, child in enumerate(children):
+        for child in children:
             parents = (tournament(), tournament())
             if rng.random() < params.crossover_prob:
                 mask = rng.random(n_genes) < 0.5
@@ -138,9 +137,15 @@ def run_ga(surface: SurfaceSpec, src: SourceModel, target: FieldGrid,
             mut = rng.random(n_genes) < p_mut
             if mut.any():
                 child[mut] = rng.integers(0, n_states, size=int(mut.sum()))
-            # the objective is pure, so a child equal to a parent keeps its score
-            same = [p for p in parents if np.array_equal(child, pop[p])]
-            child_fits[i] = fits[same[0]] if same else objective(child)
+        # scoring draws nothing, so it follows breeding; the objective is pure,
+        # so a chromosome already in the population or already scored keeps its score
+        scores = {ind.tobytes(): fit for ind, fit in zip(pop, fits)}
+        child_fits = np.empty(children.shape[0])
+        for i, child in enumerate(children):
+            key = child.tobytes()
+            if key not in scores:
+                scores[key] = objective(child)
+            child_fits[i] = scores[key]
 
         pop = np.vstack([pop[elites], children])
         fits = np.concatenate([fits[elites], child_fits])

@@ -14,8 +14,9 @@ from risbench.benchmarks import (
     reference_unit_cell,
 )
 from risbench.errors import ConfigParseError, OverlappingLobes, UnknownBenchmark
-from risbench.field import GridSpec, SourceModel, principal_cut
+from risbench.field import FieldEvaluator, GridSpec, SourceModel, principal_cut
 from risbench.ga import GAParams
+from risbench.surface import build_surface, read_config_csv
 
 EXPECTED_BEAM_COUNTS = {"B1": 1, "B2": 1, "B3": 2, "B4": 3,
                         "B5": 4, "B6": 4, "B7": 8, "B8": 4}
@@ -141,16 +142,16 @@ class TestReferencePattern:
         f2, c2 = reference_pattern(bm, PW, seed=7, ga_params=TINY_GA, cache_dir=tmp_path)
         assert np.array_equal(f1.values, f2.values)
         assert np.array_equal(c1.states, c2.states)
-        files = sorted(p.name for p in (tmp_path / "ref").iterdir())
-        assert len(files) == 2
+        files = sorted(p.name for p in (tmp_path / "ref").glob("*.config.csv"))
+        assert len(files) == 1
 
     def test_distinct_seeds_persist_separately(self, tmp_path):
         bm = load_benchmark("B1")
         reference_pattern(bm, PW, seed=7, ga_params=TINY_GA, cache_dir=tmp_path)
         other = GAParams(population=8, generations=3, seed=8)
         reference_pattern(bm, PW, seed=8, ga_params=other, cache_dir=tmp_path)
-        files = sorted(p.name for p in (tmp_path / "ref").iterdir())
-        assert len(files) == 4
+        files = sorted(p.name for p in (tmp_path / "ref").glob("*.config.csv"))
+        assert len(files) == 2
         assert any("_7_" in f for f in files)
         assert any("_8_" in f for f in files)
 
@@ -182,7 +183,7 @@ class TestReferencePattern:
             alone, _ = reference_pattern(bm, PW, seed=7, ga_params=TINY_GA,
                                          cache_dir=tmp_path / f"alone{i}")
             assert np.array_equal(shared.values, alone.values)
-        assert len(list((tmp_path / "shared" / "ref").iterdir())) == 4
+        assert len(list((tmp_path / "shared" / "ref").glob("*.config.csv"))) == 2
 
     @pytest.mark.parametrize(
         "name", [f.name for f in dataclasses.fields(GAParams) if f.name != "seed"])
@@ -193,20 +194,47 @@ class TestReferencePattern:
         grid = GridSpec(theta_step_deg=5.0, phi_step_deg=5.0)
         for params in (TINY_GA, dataclasses.replace(TINY_GA, **{name: changed[name]})):
             reference_pattern(bm, PW, seed=7, ga_params=params, grid=grid, cache_dir=tmp_path)
-        assert len(list((tmp_path / "ref").iterdir())) == 4
+        assert len(list((tmp_path / "ref").glob("*.config.csv"))) == 2
 
-    @pytest.mark.parametrize("corrupt", ["config", "field"])
+    @pytest.mark.parametrize("corrupt", ["config"])
     def test_unreadable_entry_is_recomputed(self, tmp_path, corrupt):
         bm = load_benchmark("B1")
         f1, c1 = reference_pattern(bm, PW, seed=7, ga_params=TINY_GA, cache_dir=tmp_path)
-        config_path = next((tmp_path / "ref").glob("*.config.csv"))
-        field_path = config_path.with_name(config_path.name.replace(".config.csv", ".csv"))
-        path = config_path if corrupt == "config" else field_path
+        path = next((tmp_path / "ref").glob("*.config.csv"))
         intact = path.read_bytes()
-        # a config cell that is not an integer; a field file with one grid point
-        path.write_text("0,a\n" if corrupt == "config"
-                        else "theta_deg,phi_deg,re,im,mag\n0,0,1,0,1\n")
+        path.write_text("0,a\n")  # a config cell that is not an integer
         f2, c2 = reference_pattern(bm, PW, seed=7, ga_params=TINY_GA, cache_dir=tmp_path)
         assert np.array_equal(f1.values, f2.values)
         assert np.array_equal(c1.states, c2.states)
         assert path.read_bytes() == intact
+
+    def test_stale_field_csv_is_ignored(self, tmp_path, monkeypatch):
+        # Earlier versions also cached the field as <stem>.csv; a truncated one
+        # next to a valid config neither breaks the hit nor changes its result.
+        bm = load_benchmark("B1")
+        f1, c1 = reference_pattern(bm, PW, seed=7, ga_params=TINY_GA, cache_dir=tmp_path)
+        config_path = next((tmp_path / "ref").glob("*.config.csv"))
+        stale = config_path.with_name(config_path.name.replace(".config.csv", ".csv"))
+        stale.write_text("theta_deg,phi_deg,re,im,mag\n0,0,1,0,1\n")
+
+        def no_ga(*args, **kwargs):
+            raise AssertionError("a cache hit ran the GA")
+
+        monkeypatch.setattr("risbench.benchmarks.run_ga", no_ga)
+        f2, c2 = reference_pattern(bm, PW, seed=7, ga_params=TINY_GA, cache_dir=tmp_path)
+        assert np.array_equal(f1.values, f2.values)
+        assert np.array_equal(c1.states, c2.states)
+
+    def test_entry_is_one_config_and_field_follows_from_it(self, tmp_path):
+        bm = load_benchmark("B2")
+        grid = GridSpec(theta_step_deg=3.0, phi_step_deg=3.0)
+        field, config = reference_pattern(bm, PW, seed=7, ga_params=TINY_GA, grid=grid,
+                                          cache_dir=tmp_path)
+        files = list((tmp_path / "ref").iterdir())
+        assert len(files) == 1 and files[0].name.endswith(".config.csv")
+        cached = read_config_csv(files[0])
+        assert np.array_equal(config.states, cached.states)
+        surface, _ = build_surface(reference_unit_cell(), 40, 40, 1)
+        expected = FieldEvaluator(surface, PW, grid).field(cached)
+        assert field.grid == grid
+        assert np.array_equal(field.values, expected.values)

@@ -356,11 +356,11 @@ class TestEvaluate:
         achieved = str(tmp / "out" / "achieved_pattern.csv")
         assert main(["evaluate", "--config", str(cfg_path), "--achieved", achieved]) == 0
         capsys.readouterr()
-        cache_files = list((tmp / "cache" / "ref").iterdir())
-        assert len(cache_files) == 2
-        # second call hits the same cache entries
+        cache_files = list((tmp / "cache" / "ref").glob("*.config.csv"))
+        assert len(cache_files) == 1
+        # second call hits the same cache entry
         assert main(["evaluate", "--config", str(cfg_path), "--achieved", achieved]) == 0
-        assert len(list((tmp / "cache" / "ref").iterdir())) == 2
+        assert len(list((tmp / "cache" / "ref").glob("*.config.csv"))) == 1
 
 
 class TestSweepGrouping:
@@ -391,6 +391,21 @@ class TestSweepGrouping:
             for name in ("best_config.csv", "history.csv", "achieved_pattern.csv"):
                 sweep_file = tmp / "out" / f"g{g}" / name
                 assert sweep_file.read_bytes() == (opt_dir / name).read_bytes(), name
+
+    def test_reference_is_fetched_once(self, run_config, monkeypatch):
+        import risbench.benchmarks
+
+        calls = []
+        fetch = risbench.benchmarks.reference_pattern
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fetch(*args, **kwargs)
+
+        monkeypatch.setattr(risbench.benchmarks, "reference_pattern", counted)
+        cfg_path, _ = run_config
+        assert main(["sweep-grouping", "--config", str(cfg_path), "--groups", "1,2,3"]) == 0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("groups", ["1,x", "0", "1,5"])
     def test_bad_groups_rejected_before_output(self, run_config, groups):
@@ -428,6 +443,18 @@ class TestImport:
             obj = getattr(risbench, name)
             assert obj.__name__ == name and obj.__module__.startswith("risbench."), name
             assert getattr(sys.modules[obj.__module__], name) is obj, name
+
+
+class TestThreads:
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_below_one_rejected_before_env(self, threads, monkeypatch, capsys):
+        for var in THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        with pytest.raises(SystemExit) as exc:
+            main(["--threads", threads, "table1", "--json"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not any(var in os.environ for var in THREAD_VARS)
 
 
 class TestTable1:
