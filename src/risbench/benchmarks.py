@@ -196,9 +196,10 @@ def reference_pattern(
     configuration is cached, as the one file ``cache/ref/<stem>.config.csv``
     keyed by (benchmark id, source kind, seed) plus a hash of the beams, the
     reference cell, the tool version, the source, the grid and the GA
-    parameters; an entry that does not load is recomputed.  On a hit and on
-    a miss alike the field is computed from the configuration at full
-    precision, so both return the same bits.  A field CSV that an earlier
+    parameters; an entry that does not load is recomputed.  A miss returns
+    the GA's own field of the winner, and a hit computes the field from the
+    configuration with an evaluator built from the same surface, source and
+    grid, so both return the same bits.  A field CSV that an earlier
     version left next to an entry is ignored and can be deleted.  Earlier
     versions scored against that CSV's 9-digit print, so DE and NMSE may
     differ from theirs at about 1e-9 relative.
@@ -219,7 +220,8 @@ def reference_pattern(
     try:
         config = validate_config(surface, read_config_csv(config_path))
     except RisBenchError:  # missing or unreadable entry: a cache miss
-        config = run_ga(surface, src, ideal_target_field(bm, grid), ga_params).best_config
+        result = run_ga(surface, src, ideal_target_field(bm, grid), ga_params)
         ref_dir.mkdir(parents=True, exist_ok=True)
-        write_config_csv(config, config_path)
+        write_config_csv(result.best_config, config_path)
+        return result.best_field, result.best_config
     return FieldEvaluator(surface, src, grid).field(config), config

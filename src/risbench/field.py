@@ -9,18 +9,20 @@ configurations against one surface reuses the precomputed phase tables.
 
 Only the front hemisphere (theta <= 90 deg) is ever computed; the back
 hemisphere is identically zero for a reflective surface over a ground
-plane.  The kernel folds three symmetries.  Columns phi and 360 - phi
-share u = sin(theta) cos(phi) and negate v, so the tables cover phi up to
-180 only and each mirrored column is rebuilt from the same four real sums.
+plane.  The kernel folds four symmetries.  Columns phi and 360 - phi
+share u = sin(theta) cos(phi) and negate v; on a grid with an even number
+of columns, phi and 180 - phi share v and negate u.  So the tables cover
+phi up to 90 only (up to 180 on an odd grid, which has no 180 - phi
+column), and every other column is a sign flip of the same eight real sums.
 The lattice is centred on both axes, x[N-1-n] = -x[n] and y[M-1-m] = -y[m],
 so mirrored cell columns enter as the sum and difference of their weights
 against cos and sin tables of x, and mirrored rows likewise against cos
-and sin tables of y.  The column fold leaves one real GEMM with a quarter
-of the multiply-adds of the complex direct sum; the row fold keeps its size
-and halves the reduction over rows and the y table.  The result matches the
-direct sum to 1e-12 of the peak magnitude (tested on odd and even M and N),
-not bit for bit; repeated evaluations of one configuration on one build are
-identical.
+and sin tables of y.  The column fold and the phi -> 180 - phi fold leave
+one batched real GEMM with an eighth of the multiply-adds of the complex
+direct sum; the row fold halves the reduction over rows and the y table.
+The result matches the direct sum to 1e-12 of the peak magnitude (tested
+on odd and even M and N), not bit for bit; repeated evaluations of one
+configuration on one build are identical.
 
 Each grid rule the other modules apply lives here once: the front rows
 (``GridSpec.front_rows``), azimuth distance (``phi_distance``), the lobe
@@ -227,12 +229,21 @@ class FieldEvaluator:
         k = 2.0 * math.pi / surface.cell.wavelength_m
 
         th = np.radians(grid.theta_deg()[: grid.front_rows])
-        self._n_phi = grid.shape[1]
-        self.front_size = grid.front_rows * self._n_phi  # leading part of the flat grid
+        n_phi = grid.shape[1]
+        self.front_size = grid.front_rows * n_phi  # leading part of the flat grid
 
-        # Direction cosines of the half grid phi_j, j = 0..n_phi//2, flattened
-        # theta-major; column n_phi - j mirrors column j (same u, v negated).
-        phi = np.radians(grid.phi_deg()[: self._n_phi // 2 + 1])
+        # Direction cosines of the columns phi_j, j < n_rep, flattened
+        # theta-major.  Column n_phi - j has the same u and -v; on an even
+        # grid column n_phi/2 - j has -u and the same v, and n_phi/2 + j both
+        # negated.  So each column is one of four sign flips of a column
+        # j < n_rep, which _columns picks; an odd grid flips v only.
+        n_rep = n_phi // 4 + 1 if n_phi % 2 == 0 else n_phi // 2 + 1
+        col = np.arange(n_phi)
+        half = np.minimum(col, n_phi - col)  # the column of phi <= 180 with the same u and |v|
+        flip_u = half >= n_rep
+        rep = np.where(flip_u, n_phi // 2 - half, half)
+        self._columns = 4 * rep + 2 * flip_u + (col > n_phi // 2)  # into (rows, n_rep, 4 flips)
+        phi = np.radians(grid.phi_deg()[:n_rep])
         sin_t = np.sin(th)[:, None]
         u = (sin_t * np.cos(phi)[None, :]).ravel()
         v = (sin_t * np.sin(phi)[None, :]).ravel()
@@ -242,12 +253,19 @@ class FieldEvaluator:
         # axis needs cos and sin tables over its first half only.
         x = surface.cell_x()
         y = surface.cell_y()
-        self._steer_x = np.concatenate(_steer(k * x, u))  # (2 ceil(N/2), Lh)
+        self._steer_x = _steer(k * x, u)  # (2, ceil(N/2), Lq)
         # The weights fold onto those tables: row sums then row differences,
         # times column sums then j * column differences.
         cols = surface.cols_n
         self._fold_rows = _fold(surface.rows_m).astype(complex)
         self._fold_cols = _fold(cols).T * np.repeat([1.0, 1j], cols - cols // 2)
+        # The field at flip (su, sv) weighs the sum over x table c (cos, sin)
+        # and y table b by su^c (j sv)^b; _flips is that complex product in
+        # real form, from sums ordered (c, b, re/im) to flips ordered (flip, re/im).
+        su, sv = np.repeat([1.0, -1.0], 2), np.tile([1.0, -1.0], 2)
+        kappa = np.array([[np.ones(4), 1j * sv], [su, 1j * su * sv]])
+        self._flips = np.stack([np.stack([kappa.real, kappa.imag], -1),
+                                np.stack([-kappa.imag, kappa.real], -1)], axis=2).reshape(8, 8)
 
         q = surface.cell.q_exponent
         if src.kind == "planewave":
@@ -269,7 +287,7 @@ class FieldEvaluator:
             self._cell_factor = (src.amplitude / r) * np.exp(-1j * k * r) * f_inc
             env = radiation_factor(q, th)
 
-        self._steer_y = _steer(k * y, v) * np.repeat(env, phi.size)  # (2, ceil(M/2), Lh)
+        self._steer_y = _steer(k * y, v) * np.repeat(env, n_rep)  # (2, ceil(M/2), Lq)
         self._state_coeffs = state_coefficients(surface)
 
     def front(self, states: np.ndarray) -> np.ndarray:
@@ -280,22 +298,16 @@ class FieldEvaluator:
         """
         w = self._state_coeffs[states] * self._cell_factor
         folded = self._fold_rows @ w @ self._fold_cols
-        # With s the column sums and d the differences, the real part of the
-        # n-sum is Re s.cos - Im d.sin and the imaginary part Im s.cos + Re d.sin.
-        p = np.concatenate([folded.real, folded.imag]) @ self._steer_x
-        n_phi = self._n_phi
-        # (re + j im) (cos + j sin) summed over m, at +v and at -v (the mirror):
-        # row sums against the cos rows of y, row differences against the sin rows.
-        sums = np.einsum("abml,bml->bal", p.reshape(2, *self._steer_y.shape), self._steer_y)
-        (re_cos, im_cos), (re_sin, im_sin) = sums.reshape(2, 2, -1, n_phi // 2 + 1)
-
-        n_mirror = (n_phi - 1) // 2  # column n_phi - j mirrors column j, j = 1..n_mirror
-        out = np.empty((re_cos.shape[0], n_phi), dtype=complex)
-        out.real[:, : n_phi // 2 + 1] = re_cos - im_sin
-        out.imag[:, : n_phi // 2 + 1] = re_sin + im_cos
-        out.real[:, n_phi - n_mirror:] = (re_cos + im_sin)[:, n_mirror:0:-1]
-        out.imag[:, n_phi - n_mirror:] = (im_cos - re_sin)[:, n_mirror:0:-1]
-        return out.ravel()
+        # With s the column sums and d the differences, the n-sum is s.cos +
+        # j d.sin at u and s.cos - j d.sin at -u.  One batched GEMM takes Re and
+        # Im of s against x's cos table (batch 0) and of j d against its sin table.
+        parts = np.concatenate([folded.real, folded.imag])
+        p = parts.reshape(parts.shape[0], 2, -1).transpose(1, 0, 2) @ self._steer_x
+        # (re + j im) (cos + j sin) summed over m, at v and at -v: row sums
+        # against y's cos table, row differences against its sin table.
+        sums = np.einsum("cabml,bml->cbal", p.reshape(2, 2, *self._steer_y.shape), self._steer_y)
+        flips = (sums.reshape(8, -1).T @ self._flips).view(complex)  # (Lq, 4 flips)
+        return flips.reshape(self.grid.front_rows, -1)[:, self._columns].ravel()
 
     def field(self, config: ConfigMatrix) -> FieldGrid:
         """Complex far-field of one configuration."""

@@ -270,6 +270,8 @@ class TestFidelity:
     @pytest.mark.parametrize("grid", [
         GridSpec(9.0, 8.0),     # 45 phi columns
         GridSpec(10.0, 12.0),   # 30 phi columns
+        GridSpec(10.0, 10.0),   # 36 phi columns: phi = 90 pairs with itself
+        GridSpec(45.0, 90.0),   # 4 phi columns: likewise
         GridSpec(30.0, 120.0),  # 3 phi columns
         GridSpec(30.0, 180.0),  # 2 phi columns
         GridSpec(45.0, 360.0),  # 1 phi column

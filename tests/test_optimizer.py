@@ -78,13 +78,19 @@ class TestFitness:
         f2 = fitness(flipped, target, surf, PW)
         assert np.isclose(f1, f2, atol=1e-12)
 
-    @pytest.mark.parametrize("group_size", [1, 2])
-    @pytest.mark.parametrize("src", [SourceModel.point((0.01, -0.02, 0.3)),
-                                     SourceModel.planewave(1.0, 10.0, 30.0)],
-                             ids=["point", "planewave"])
-    def test_objective_equals_public_fitness_exactly(self, src, group_size):
+    @pytest.mark.parametrize("src, group_size, grid", [
+        pytest.param(src, group_size, GridSpec(2.0, 2.0), id=f"{kind}-{group_size}")
+        for kind, src in (("point", SourceModel.point((0.01, -0.02, 0.3))),
+                          ("planewave", SourceModel.planewave(1.0, 10.0, 30.0)))
+        for group_size in (1, 2)
+    ] + [
+        # 45 phi columns: no 180 - phi column, so the kernel folds only phi -> 360 - phi
+        pytest.param(SourceModel.planewave(1.0, 10.0, 30.0), 1, GridSpec(10.0, 8.0),
+                     id="planewave-1-phi45"),
+    ])
+    def test_objective_equals_public_fitness_exactly(self, src, group_size, grid):
         surf, _ = build_surface(load_unit_cell("S3"), 8, 8, group_size)
-        target = ideal_target_field(load_benchmark("B8"), GridSpec(2.0, 2.0))
+        target = ideal_target_field(load_benchmark("B8"), grid)
         objective = _Objective(surf, src, target)
         rng = np.random.default_rng(group_size)
         for _ in range(4):
