@@ -20,9 +20,8 @@ _EXPORTS = {
     "ga": ("GAParams", "GAResult", "exhaustive_search", "fitness", "run_ga"),
     "metrics": ("LobeRegion", "MetricsReport", "detect_lobes", "directivity_error",
                 "directivity_over_region", "evaluate_all", "nmse", "side_lobe_ratio"),
-    "surface": ("ConfigMatrix", "GroupLayout", "ReflectionState", "SurfaceSpec",
-                "UnitCellSpec", "build_surface", "expand_groups", "load_unit_cell",
-                "uniform_config"),
+    "surface": ("ConfigMatrix", "ReflectionState", "SurfaceSpec", "UnitCellSpec",
+                "build_surface", "expand_groups", "load_unit_cell", "uniform_config"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_MODULE_OF)

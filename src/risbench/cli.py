@@ -14,6 +14,7 @@ variables from ``--threads`` before a handler's first import loads it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -105,7 +106,7 @@ def _resolve_surface(cfg: dict):
     if cfg.get("pitch_mm") is not None:
         layout["pitch_m"] = cfg["pitch_mm"] * 1e-3
     return build_surface(cell_from_document(spec, str(ref)),
-                         cfg.get("rows", 40), cfg.get("cols", 40), **layout)
+                         cfg.get("rows", 40), cfg.get("cols", 40), **layout)[0]
 
 
 def _resolve_source(cfg: dict):
@@ -173,7 +174,7 @@ def cmd_simulate(args) -> int:
     from .surface import read_config_csv, uniform_config
 
     _, cfg = _load_run_config(args)
-    surface, _ = _resolve_surface(cfg)
+    surface = _resolve_surface(cfg)
     src = _resolve_source(cfg)
     grid = GridSpec(**cfg.get("grid", {}))
     if cfg.get("config_ref"):
@@ -199,7 +200,7 @@ def cmd_optimize(args) -> int:
 
     t0 = time.perf_counter()
     doc, cfg = _load_run_config(args)
-    surface, _ = _resolve_surface(cfg)
+    surface = _resolve_surface(cfg)
     inputs = _run_inputs(cfg)
     src, grid, ga, bm = inputs
     target = ideal_target_field(bm, grid)
@@ -254,10 +255,9 @@ def cmd_sweep_grouping(args) -> int:
     """``optimize`` once per group size, into ``g{G}/``, plus ``sweep.csv``."""
     from .benchmarks import ideal_target_field, reference_pattern
     from .control import complexity_report
-    from .surface import build_surface
 
     _, cfg = _load_run_config(args)
-    surface, _ = _resolve_surface(cfg)
+    surface = _resolve_surface(cfg)
     inputs = _run_inputs(cfg)
     src, grid, ga, bm = inputs
     target = ideal_target_field(bm, grid)
@@ -266,8 +266,7 @@ def cmd_sweep_grouping(args) -> int:
     except ValueError as exc:
         raise ConfigParseError(f"bad --groups {args.groups!r}: {exc}") from exc
     # Every group size and its control figures are checked before anything is written.
-    surfaces = [build_surface(surface.cell, surface.rows_m, surface.cols_n,
-                              g, surface.pitch_m)[0] for g in groups]
+    surfaces = [dataclasses.replace(surface, group_size=g) for g in groups]
     reports = [complexity_report(surf_g, **cfg.get("control", {})) for surf_g in surfaces]
     out = _output_dir(cfg, args.out)
 

@@ -61,7 +61,7 @@ class GroupSizeMismatch(ConfigError):
 
 
 class LengthMismatch(ConfigError):
-    """Group-state vector length disagrees with the layout."""
+    """Group-state vector length disagrees with the surface's group count."""
 
 
 class InvalidStateIndex(ConfigError):

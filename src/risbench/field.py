@@ -98,8 +98,11 @@ class GridSpec:
         for span, step, name in ((180.0, self.theta_step_deg, "theta"),
                                  (360.0, self.phi_step_deg, "phi")):
             check_positive(**{f"{name} step": step})
-            if abs(span / step - round(span / step)) > 1e-9:
+            count = round(span / step)
+            if count < 1 or abs(span / step - count) > 1e-9:
                 raise ConfigMismatch(f"{name} step {step} must divide {span} degrees")
+            # stored as span / count, so a step typed to fewer digits is the same grid
+            object.__setattr__(self, f"{name}_step_deg", span / count)
 
     def theta_deg(self) -> np.ndarray:
         return np.arange(round(180.0 / self.theta_step_deg)) * self.theta_step_deg

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import NonPositiveParam, SearchSpaceTooLarge
 from .field import FieldEvaluator, FieldGrid, SourceModel, peak_magnitude
 from .metrics import nmse
-from .surface import ConfigMatrix, SurfaceSpec, expand_groups, group_layout
+from .surface import ConfigMatrix, SurfaceSpec, expand_groups
 
 
 @dataclass(frozen=True)
@@ -68,30 +68,28 @@ class _Objective:
 
     Equals ``-nmse(target, evaluator.field(config))`` exactly, because both
     take the field from the same ``front`` kernel; this skips only the
-    FieldGrid construction.  The back hemisphere of both fields is
-    identically zero, so its difference terms are written once as zeros and
-    the mean runs over the same full-length array in the same order as the
-    public metric.
+    FieldGrid construction.  The achieved field's back hemisphere is
+    identically zero, so its difference terms are the target's normalized
+    magnitudes, written once, and the mean runs over the same full-length
+    array in the same order as the public metric.
     """
 
     def __init__(self, surface: SurfaceSpec, src: SourceModel, target: FieldGrid):
-        self.layout = group_layout(surface.rows_m, surface.cols_n, surface.group_size)
-        self.n_states = surface.cell.n_states
+        self.surface = surface
+        self._group_ids = surface.group_ids()
         self.evaluator = FieldEvaluator(surface, src, target.grid)
         self.evaluations = 0
 
         t_mags = target.magnitude()
         t_norm = (t_mags / peak_magnitude(t_mags)).ravel()
-        if np.any(t_norm[self.evaluator.front_size:] != 0.0):
-            raise NonPositiveParam("target carries power in the back hemisphere")
-        self._diff = t_norm.copy()  # back entries stay t_norm - 0 = 0
+        self._diff = t_norm.copy()  # back entries stay t_norm - 0
         self._t_norm_front = t_norm[: self.evaluator.front_size]
 
     def config_of(self, chromosome: np.ndarray) -> ConfigMatrix:
-        return expand_groups(chromosome, self.layout, self.n_states)
+        return expand_groups(chromosome, self.surface)
 
     def __call__(self, chromosome: np.ndarray) -> float:
-        mags = np.abs(self.evaluator.front(chromosome[self.layout.assignment]))
+        mags = np.abs(self.evaluator.front(chromosome[self._group_ids]))
         peak = peak_magnitude(mags)
         np.subtract(self._t_norm_front, mags / peak, out=self._diff[: mags.size])
         self.evaluations += 1
@@ -110,8 +108,8 @@ def run_ga(surface: SurfaceSpec, src: SourceModel, target: FieldGrid,
     """Tournament-selection GA with uniform crossover and elitism."""
     params = params or GAParams()
     objective = _Objective(surface, src, target)
-    n_genes = objective.layout.n_groups
-    n_states = objective.n_states
+    n_genes = surface.n_groups
+    n_states = surface.cell.n_states
     p_mut = (params.mutation_prob_per_gene
              if params.mutation_prob_per_gene is not None else 1.0 / n_genes)
 
@@ -167,8 +165,9 @@ EXHAUSTIVE_GUARD = 2 ** 20
 
 def exhaustive_search(surface: SurfaceSpec, src: SourceModel,
                       target: FieldGrid) -> tuple[ConfigMatrix, float]:
-    """Enumerate every group-state assignment; ties keep the lexicographically
-    lowest chromosome."""
+    """Enumerate every group-state assignment in lexicographic order; the first
+    chromosome with the largest computed fitness wins, so configurations that
+    tie in exact arithmetic are ranked by their rounded fitness."""
     n_states = surface.cell.n_states
     total = n_states ** surface.n_groups
     if total > EXHAUSTIVE_GUARD:

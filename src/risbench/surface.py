@@ -110,8 +110,11 @@ class SurfaceSpec:
     group_size: int
 
     def __post_init__(self):
-        check_positive(rows_m=self.rows_m, cols_n=self.cols_n, pitch_m=self.pitch_m)
-        check_group_size(self.rows_m, self.cols_n, self.group_size)
+        check_positive(rows_m=self.rows_m, cols_n=self.cols_n, pitch_m=self.pitch_m,
+                       group_size=self.group_size)
+        if self.n_cells % self.group_size != 0:
+            raise GroupSizeMismatch(f"group size {self.group_size} does not divide "
+                                    f"{self.rows_m}x{self.cols_n} = {self.n_cells} cells")
 
     @property
     def n_cells(self) -> int:
@@ -120,6 +123,10 @@ class SurfaceSpec:
     @property
     def n_groups(self) -> int:
         return self.n_cells // self.group_size
+
+    def group_ids(self) -> np.ndarray:
+        """(M, N) group id per cell: row-major runs of G cells share one state."""
+        return np.arange(self.n_cells).reshape(self.rows_m, self.cols_n) // self.group_size
 
     def cell_x(self) -> np.ndarray:
         """x coordinate per column index n, meters."""
@@ -130,21 +137,6 @@ class SurfaceSpec:
         """y coordinate per row index m, meters."""
         m = np.arange(self.rows_m, dtype=float)
         return (m - (self.rows_m - 1) / 2.0) * self.pitch_m
-
-
-@dataclass(frozen=True)
-class GroupLayout:
-    """M x N grid of group ids; each id appears exactly G times."""
-
-    assignment: np.ndarray
-    group_size: int
-
-    def __post_init__(self):
-        self.assignment.setflags(write=False)
-
-    @property
-    def n_groups(self) -> int:
-        return self.assignment.size // self.group_size
 
 
 @dataclass(frozen=True)
@@ -162,55 +154,36 @@ def default_pitch(cell: UnitCellSpec) -> float:
     return SPEED_OF_LIGHT / (2.0 * cell.design_freq_hz)
 
 
-def check_group_size(rows_m: int, cols_n: int, group_size: int) -> None:
-    """The grouping rule: the group size is positive and divides the M*N cells."""
-    check_positive(group_size=group_size)
-    n_cells = rows_m * cols_n
-    if n_cells % group_size != 0:
-        raise GroupSizeMismatch(
-            f"group size {group_size} does not divide {rows_m}x{cols_n} = {n_cells} cells"
-        )
-
-
-def group_layout(rows_m: int, cols_n: int, group_size: int) -> GroupLayout:
-    """Row-major contiguous runs of ``group_size`` cells share a group id."""
-    check_group_size(rows_m, cols_n, group_size)
-    ids = np.arange(rows_m * cols_n, dtype=np.int64) // group_size
-    return GroupLayout(assignment=ids.reshape(rows_m, cols_n), group_size=group_size)
-
-
 def build_surface(
     cell: UnitCellSpec,
     rows_m: int,
     cols_n: int,
     group_size: int = 1,
     pitch_m: float | None = None,
-) -> tuple[SurfaceSpec, GroupLayout]:
-    """Assemble a surface and its group layout; the pitch defaults to half a
-    wavelength at the cell's design frequency."""
+) -> tuple[SurfaceSpec, np.ndarray]:
+    """Assemble a surface, returned with its ``group_ids()``; the pitch
+    defaults to half a wavelength at the cell's design frequency."""
     if pitch_m is None:
         pitch_m = default_pitch(cell)
     surf = SurfaceSpec(
         cell=cell, rows_m=rows_m, cols_n=cols_n, pitch_m=pitch_m, group_size=group_size
     )
-    return surf, group_layout(rows_m, cols_n, group_size)
+    return surf, surf.group_ids()
 
 
-def expand_groups(
-    group_states: Sequence[int] | np.ndarray,
-    layout: GroupLayout,
-    n_states: int,
-) -> ConfigMatrix:
+def expand_groups(group_states: Sequence[int] | np.ndarray,
+                  surface: SurfaceSpec) -> ConfigMatrix:
     """Broadcast one state per group to every cell of that group."""
     gs = np.asarray(group_states, dtype=np.int64)
-    if gs.ndim != 1 or gs.size != layout.n_groups:
+    if gs.ndim != 1 or gs.size != surface.n_groups:
         raise LengthMismatch(
-            f"expected {layout.n_groups} group states, got {gs.size}"
+            f"expected {surface.n_groups} group states, got {gs.size}"
         )
+    n_states = surface.cell.n_states
     if gs.size and (gs.min() < 0 or gs.max() >= n_states):
         bad = gs[(gs < 0) | (gs >= n_states)][0]
         raise InvalidStateIndex(f"state index {bad} outside [0, {n_states - 1}]")
-    return ConfigMatrix(states=gs[layout.assignment])
+    return ConfigMatrix(states=gs[surface.group_ids()])
 
 
 def validate_config(surface: SurfaceSpec, config: ConfigMatrix) -> ConfigMatrix:
@@ -319,7 +292,7 @@ def cell_from_document(doc: dict, origin: str) -> UnitCellSpec:
         raise ConfigParseError(f"malformed cell document {origin}: {exc}") from exc
 
 
-def surface_from_document(doc: dict, path: Path) -> tuple[SurfaceSpec, GroupLayout]:
+def surface_from_document(doc: dict, path: Path) -> SurfaceSpec:
     """Surface from a parsed surface document read from ``path``; a cell_id
     naming a file next to the document is read from there."""
     try:
@@ -333,7 +306,7 @@ def surface_from_document(doc: dict, path: Path) -> tuple[SurfaceSpec, GroupLayo
     sibling = path.parent / cell_ref
     if cell_ref.upper() not in BUNDLED_CELL_IDS and sibling.is_file():
         cell_ref = str(sibling)
-    return build_surface(load_unit_cell(cell_ref), rows, cols, group, pitch_m)
+    return build_surface(load_unit_cell(cell_ref), rows, cols, group, pitch_m)[0]
 
 
 def load_unit_cell(ref: str | Path) -> UnitCellSpec:

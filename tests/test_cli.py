@@ -350,6 +350,17 @@ class TestEvaluate:
                      "--achieved", str(partial), "--reference", str(partial)])
         assert code == 4
 
+    def test_truncated_step_evaluates_its_own_pattern(self, run_config):
+        # 180/338 typed to 14 digits: the pattern CSV carries the exact step
+        cfg_path, tmp = run_config
+        doc = json.loads(cfg_path.read_text())
+        doc["grid"] = {"theta_step_deg": 0.53254437869822, "phi_step_deg": 30.0}
+        doc.update(rows=2, cols=2)
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(cfg_path)]) == 0
+        pattern = str(tmp / "out" / "pattern.csv")
+        assert main(["evaluate", "--config", str(cfg_path), "--achieved", pattern]) == 0
+
     def test_benchmark_reference_uses_cache(self, run_config, capsys):
         cfg_path, tmp = run_config
         main(["optimize", "--config", str(cfg_path)])

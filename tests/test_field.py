@@ -84,6 +84,18 @@ class TestGridSpec:
     def test_step_must_divide_span(self):
         with pytest.raises(ConfigMismatch):
             GridSpec(theta_step_deg=7.0)
+        # span / 1e300 rounds to 0 steps: an empty axis, not a grid
+        with pytest.raises(ConfigMismatch):
+            GridSpec(theta_step_deg=1e300)
+        with pytest.raises(ConfigMismatch):
+            GridSpec(phi_step_deg=1e300)
+
+    def test_one_spelling_per_grid(self):
+        # 180/7 typed to 15 significant digits names the same 7-row grid
+        typed, exact = GridSpec(25.7142857142857, 10.0), GridSpec(180 / 7, 10.0)
+        assert typed == exact
+        assert hash(typed) == hash(exact)
+        assert typed.theta_step_deg == 180 / 7
 
     def test_field_values_must_fill_the_grid(self):
         with pytest.raises(GridMismatch):

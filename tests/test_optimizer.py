@@ -78,19 +78,26 @@ class TestFitness:
         f2 = fitness(flipped, target, surf, PW)
         assert np.isclose(f1, f2, atol=1e-12)
 
-    @pytest.mark.parametrize("src, group_size, grid", [
-        pytest.param(src, group_size, GridSpec(2.0, 2.0), id=f"{kind}-{group_size}")
+    @pytest.mark.parametrize("src, group_size, grid, back_value", [
+        pytest.param(src, group_size, GridSpec(2.0, 2.0), None, id=f"{kind}-{group_size}")
         for kind, src in (("point", SourceModel.point((0.01, -0.02, 0.3))),
                           ("planewave", SourceModel.planewave(1.0, 10.0, 30.0)))
         for group_size in (1, 2)
     ] + [
         # 45 phi columns: no 180 - phi column, so the kernel folds only phi -> 360 - phi
-        pytest.param(SourceModel.planewave(1.0, 10.0, 30.0), 1, GridSpec(10.0, 8.0),
+        pytest.param(SourceModel.planewave(1.0, 10.0, 30.0), 1, GridSpec(10.0, 8.0), None,
                      id="planewave-1-phi45"),
+        # target power behind the surface, which no configuration can radiate
+        pytest.param(SourceModel.planewave(1.0, 10.0, 30.0), 2, GridSpec(2.0, 2.0), 0.3,
+                     id="planewave-2-back"),
     ])
-    def test_objective_equals_public_fitness_exactly(self, src, group_size, grid):
+    def test_objective_equals_public_fitness_exactly(self, src, group_size, grid, back_value):
         surf, _ = build_surface(load_unit_cell("S3"), 8, 8, group_size)
         target = ideal_target_field(load_benchmark("B8"), grid)
+        if back_value is not None:
+            values = target.values.copy()
+            values[grid.front_rows, 0] = back_value
+            target = FieldGrid(values=values, grid=grid)
         objective = _Objective(surf, src, target)
         rng = np.random.default_rng(group_size)
         for _ in range(4):

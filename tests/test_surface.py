@@ -19,7 +19,6 @@ from risbench.surface import (
     UnitCellSpec,
     build_surface,
     expand_groups,
-    group_layout,
     load_unit_cell,
     read_json_document,
     surface_from_document,
@@ -33,6 +32,10 @@ def make_cell(n_bits=1, n_diodes=1, states=None, q=1.0, f_hz=11.1e9):
     return UnitCellSpec(id="test", n_bits=n_bits, n_diodes=n_diodes, states=states,
                         q_exponent=q, width_m=5.8e-3, height_m=4.9e-3,
                         design_freq_hz=f_hz)
+
+
+def make_surface(rows_m, cols_n, group_size, cell=None):
+    return SurfaceSpec(cell or make_cell(), rows_m, cols_n, 0.01, group_size)
 
 
 class TestValidateUnitCell:
@@ -75,16 +78,16 @@ class TestValidateUnitCell:
 
 class TestBuildSurface:
     def test_40x40_defaults(self):
-        surf, layout = build_surface(make_cell(), 40, 40, 1)
+        surf, _ = build_surface(make_cell(), 40, 40, 1)
         assert surf.n_cells == 1600
         assert np.isclose(surf.pitch_m, SPEED_OF_LIGHT / (2 * 11.1e9))
         assert np.isclose(surf.pitch_m * 1e3, 13.5042, atol=1e-3)
-        assert layout.n_groups == 1600
+        assert surf.n_groups == 1600
 
     def test_single_group_covers_all(self):
-        surf, layout = build_surface(make_cell(), 2, 2, 4)
-        assert layout.n_groups == 1
-        assert np.all(layout.assignment == 0)
+        surf, group_ids = build_surface(make_cell(), 2, 2, 4)
+        assert surf.n_groups == 1
+        assert np.all(group_ids == 0)
 
     def test_group_size_mismatch(self):
         with pytest.raises(GroupSizeMismatch):
@@ -127,34 +130,31 @@ class TestBuildSurface:
 
 class TestGrouping:
     def test_identity_mapping(self):
-        layout = group_layout(2, 2, 1)
-        cfg = expand_groups([0, 1, 1, 0], layout, 2)
+        cfg = expand_groups([0, 1, 1, 0], make_surface(2, 2, 1))
         assert np.array_equal(cfg.states, [[0, 1], [1, 0]])
 
     def test_row_major_pairs(self):
-        layout = group_layout(2, 2, 2)
-        cfg = expand_groups([0, 1], layout, 2)
+        cfg = expand_groups([0, 1], make_surface(2, 2, 2))
         assert np.array_equal(cfg.states, [[0, 0], [1, 1]])
 
     def test_each_group_constant(self):
-        layout = group_layout(4, 6, 3)
+        states = tuple(ReflectionState(0.9, 90.0 * i) for i in range(4))
+        surf = make_surface(4, 6, 3, make_cell(n_bits=2, n_diodes=2, states=states))
         rng = np.random.default_rng(3)
-        genes = rng.integers(0, 4, size=layout.n_groups)
-        cfg = expand_groups(genes, layout, 4)
-        for g in range(layout.n_groups):
-            vals = cfg.states[layout.assignment == g]
+        genes = rng.integers(0, 4, size=surf.n_groups)
+        cfg = expand_groups(genes, surf)
+        for g in range(surf.n_groups):
+            vals = cfg.states[surf.group_ids() == g]
             assert vals.size == 3
             assert np.all(vals == vals[0])
 
     def test_length_mismatch(self):
-        layout = group_layout(2, 2, 2)
         with pytest.raises(LengthMismatch):
-            expand_groups([0, 1, 1], layout, 2)
+            expand_groups([0, 1, 1], make_surface(2, 2, 2))
 
     def test_invalid_state_index(self):
-        layout = group_layout(2, 2, 1)
         with pytest.raises(InvalidStateIndex):
-            expand_groups([0, 4, 0, 0], layout, 2)
+            expand_groups([0, 4, 0, 0], make_surface(2, 2, 1))
 
 
 class TestJsonIngest:
@@ -188,11 +188,11 @@ class TestJsonIngest:
         doc = {"cell_id": "S2", "M": 8, "N": 10, "G": 2, "pitch_mm": 17.0}
         path = tmp_path / "surf.json"
         path.write_text(json.dumps(doc))
-        surf, layout = surface_from_document(read_json_document(path, "surface spec"), path)
+        surf = surface_from_document(read_json_document(path, "surface spec"), path)
         assert (surf.rows_m, surf.cols_n, surf.group_size) == (8, 10, 2)
         assert surf.pitch_m == 17.0e-3
         assert surf.cell.id == "S2"
-        assert layout.n_groups == 40
+        assert surf.n_groups == 40
 
     def test_config_immutable(self):
         surf, _ = build_surface(make_cell(), 2, 2, 1)
