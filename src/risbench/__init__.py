@@ -12,14 +12,14 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "benchmarks": ("BeamSpec", "BenchmarkPattern", "ideal_target_field",
-                   "load_benchmark", "reference_pattern", "reference_unit_cell"),
+                   "load_benchmark", "reference_pattern"),
     "control": ("ControlReport", "complexity_report"),
     "field": ("FieldEvaluator", "FieldGrid", "GridSpec", "PrincipalCut", "SourceModel",
               "principal_cut", "radiation_factor", "read_field_csv", "steering_config",
               "write_field_csv"),
     "ga": ("GAParams", "GAResult", "exhaustive_search", "fitness", "run_ga"),
-    "metrics": ("LobeRegion", "MetricsReport", "detect_lobes", "directivity_error",
-                "directivity_over_region", "evaluate_all", "nmse", "side_lobe_ratio"),
+    "metrics": ("MetricsReport", "directivity_error", "directivity_over_region",
+                "evaluate_all", "lobe_peaks", "nmse", "side_lobe_ratio"),
     "surface": ("ConfigMatrix", "ReflectionState", "SurfaceSpec", "UnitCellSpec",
                 "build_surface", "expand_groups", "load_unit_cell", "uniform_config"),
 }

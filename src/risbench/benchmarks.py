@@ -36,6 +36,7 @@ from .field import (
     FieldGrid,
     GridSpec,
     SourceModel,
+    band_columns,
     phi_distance,
     read_field_csv,  # noqa: F401  kept bound: perfbench's tracer test reads it here
 )
@@ -146,7 +147,7 @@ def ideal_target_field(bm: BenchmarkPattern, grid: GridSpec | None = None) -> Fi
             s = signed[inside]
             lobe = beam.rel_amplitude * np.cos(
                 math.pi * (s - beam.signed_theta_deg) / width) ** 2
-            cols = np.nonzero(phi_off[plane] <= PHI_BAND_DEG)[0]
+            cols = band_columns(grid, plane)
             taper = np.cos(math.pi * phi_off[plane][cols] / (2.0 * PHI_BAND_DEG)) ** 2
             rows = np.nonzero(inside)[0] + row_off
             values[np.ix_(rows, cols)] = lobe[:, None] * taper[None, :]
@@ -154,11 +155,6 @@ def ideal_target_field(bm: BenchmarkPattern, grid: GridSpec | None = None) -> Fi
     if peak == 0.0:
         raise ConfigMismatch(f"benchmark {bm.id}: no lobe contains a theta sample of {grid}")
     return FieldGrid(values=(values / peak).astype(complex), grid=grid)
-
-
-def reference_unit_cell() -> UnitCellSpec:
-    """The idealized 2-bit reference cell: lossless, 90-degree-spaced states."""
-    return load_unit_cell("S0")
 
 
 def _cache_hash(bm: BenchmarkPattern, cell: UnitCellSpec, src: SourceModel,
@@ -210,7 +206,7 @@ def reference_pattern(
     elif ga_params.seed != seed:
         raise ConfigParseError("seed argument disagrees with ga_params.seed")
 
-    cell = reference_unit_cell()
+    cell = load_unit_cell("S0")  # the idealized 2-bit cell: lossless, 90-degree-spaced states
     surface, _ = build_surface(cell, REFERENCE_SIZE, REFERENCE_SIZE, 1)
     root = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     ref_dir = root / "ref"

@@ -119,12 +119,16 @@ def _resolve_source(cfg: dict):
 
 
 def _run_inputs(cfg: dict) -> tuple:
-    """Source, grid, GA parameters and benchmark of a run config."""
+    """Source, grid, GA parameters and benchmark of a run config that is
+    scored: its grid must hold the principal cut the side-lobe ratio reads
+    (``GridMissingPlane`` otherwise), checked before anything is written."""
     from .benchmarks import load_benchmark
-    from .field import GridSpec
+    from .field import GridSpec, principal_columns
     from .ga import GAParams
 
-    return (_resolve_source(cfg), GridSpec(**cfg.get("grid", {})),
+    grid = GridSpec(**cfg.get("grid", {}))
+    principal_columns(grid)
+    return (_resolve_source(cfg), grid,
             GAParams(**cfg.get("ga", {})), load_benchmark(cfg.get("benchmark_ref", "B1")))
 
 

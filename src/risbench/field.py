@@ -26,7 +26,8 @@ configuration on one build are identical.
 
 Each grid rule the other modules apply lives here once: the front rows
 (``GridSpec.front_rows``), azimuth distance (``phi_distance``), the lobe
-band (``PHI_BAND_DEG``), peak scaling (``peak_magnitude``) and the aperture
+band (``PHI_BAND_DEG``, ``band_columns``), the principal-cut columns
+(``principal_columns``), peak scaling (``peak_magnitude``) and the aperture
 phase shared by planewave incidence and beam steering (``aperture_phase``).
 """
 
@@ -50,7 +51,7 @@ from .errors import (
     check_finite,
     check_positive,
 )
-from .surface import ConfigMatrix, SurfaceSpec, validate_config
+from .surface import ConfigMatrix, SurfaceSpec, load_csv_table, validate_config
 
 
 @dataclass(frozen=True)
@@ -163,6 +164,26 @@ def phi_distance(phi: np.ndarray | float, center: float) -> np.ndarray | float:
     """Circular azimuth distance in degrees, in [0, 180]."""
     d = np.abs((phi - center) % 360.0)
     return np.minimum(d, 360.0 - d)
+
+
+def band_columns(grid: GridSpec, plane_deg: float, band_deg: float = PHI_BAND_DEG) -> np.ndarray:
+    """Indices of the phi columns within ``band_deg`` of ``plane_deg``, give
+    or take 1e-9 degrees of rounding, so a band is symmetric about its plane."""
+    return np.nonzero(phi_distance(grid.phi_deg(), plane_deg) <= band_deg + 1e-9)[0]
+
+
+def principal_columns(grid: GridSpec) -> tuple[int, int]:
+    """Indices of the phi = 0 and phi = 180 columns the principal cut reads.
+
+    Raises ``GridMissingPlane`` if the grid lacks either.
+    """
+    cols = []
+    for plane in (0.0, 180.0):
+        hits = np.nonzero(phi_distance(grid.phi_deg(), plane) < 1e-9)[0]
+        if hits.size == 0:
+            raise GridMissingPlane(f"grid has no phi = {plane} column")
+        cols.append(int(hits[0]))
+    return cols[0], cols[1]
 
 
 def peak_magnitude(values: np.ndarray) -> float:
@@ -320,17 +341,9 @@ class FieldEvaluator:
         return FieldGrid(values=values.reshape(self.grid.shape), grid=self.grid)
 
 
-def _column_index(grid: GridSpec, phi_value: float) -> int:
-    hits = np.nonzero(phi_distance(grid.phi_deg(), phi_value) < 1e-9)[0]
-    if hits.size == 0:
-        raise GridMissingPlane(f"grid has no phi = {phi_value} column")
-    return int(hits[0])
-
-
 def principal_cut(gridval: FieldGrid) -> PrincipalCut:
     """Signed elevation cut: +theta from phi = 0, -theta from phi = 180."""
-    col0 = _column_index(gridval.grid, 0.0)
-    col180 = _column_index(gridval.grid, 180.0)
+    col0, col180 = principal_columns(gridval.grid)
     step = gridval.grid.theta_step_deg
     k_max = gridval.grid.front_rows - 1
     mags = gridval.magnitude()
@@ -392,7 +405,7 @@ def write_field_csv(gridval: FieldGrid, path: str | Path) -> None:
 def read_field_csv(path: str | Path) -> FieldGrid:
     path = Path(path)
     try:
-        raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        raw = load_csv_table(path, skiprows=1)
     except OSError as exc:
         raise IoError(f"cannot read field CSV {path}: {exc}") from exc
     except ValueError as exc:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -223,11 +224,25 @@ def write_config_csv(config: ConfigMatrix, path: str | Path) -> None:
         raise IoError(f"cannot write config CSV {path}: {exc}") from exc
 
 
+def load_csv_table(path: str | Path, **kwargs) -> np.ndarray:
+    """``np.loadtxt`` of a comma-separated file as a 2-D array.
+
+    A file without data rows raises ``ValueError``, like any other
+    malformed file; numpy itself only warns and returns an empty array.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        try:
+            return np.loadtxt(path, delimiter=",", ndmin=2, **kwargs)
+        except UserWarning:
+            raise ValueError("no data rows") from None
+
+
 def read_config_csv(path: str | Path) -> ConfigMatrix:
     """Parse a config CSV; shape and index range are checked against a
     surface by ``validate_config``, not here."""
     try:
-        states = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2)
+        states = load_csv_table(path, dtype=np.int64)
     except (OSError, ValueError) as exc:
         raise ConfigParseError(f"cannot read config CSV {path}: {exc}") from exc
     return ConfigMatrix(states=states)

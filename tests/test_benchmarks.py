@@ -11,12 +11,11 @@ from risbench.benchmarks import (
     ideal_target_field,
     load_benchmark,
     reference_pattern,
-    reference_unit_cell,
 )
 from risbench.errors import ConfigParseError, OverlappingLobes, UnknownBenchmark
 from risbench.field import FieldEvaluator, GridSpec, SourceModel, principal_cut
 from risbench.ga import GAParams
-from risbench.surface import build_surface, read_config_csv
+from risbench.surface import build_surface, load_unit_cell, read_config_csv
 
 EXPECTED_BEAM_COUNTS = {"B1": 1, "B2": 1, "B3": 2, "B4": 3,
                         "B5": 4, "B6": 4, "B7": 8, "B8": 4}
@@ -105,6 +104,14 @@ class TestIdealTargetField:
         assert mags[30, 1] < mags[30, 0]
         assert mags[30, 5] < 1e-30  # cos(pi/2)^2 at the band edge
 
+    def test_band_is_symmetric_about_its_plane(self):
+        # On a step of 360/2808 the 355 degree column lies 5.000000000000057
+        # degrees from 0; the band still holds 39 columns on either side.
+        fg = ideal_target_field(load_benchmark("B1"), GridSpec(1.0, 360.0 / 2808))
+        cols = np.nonzero(fg.values[30])[0]
+        assert cols.size == 79
+        assert set(cols) == {(-c) % 2808 for c in cols}
+
     def test_single_connected_region_in_cut(self):
         cut = principal_cut(ideal_target_field(load_benchmark("B1")))
         nz = np.nonzero(cut.magnitude > 0)[0]
@@ -118,17 +125,17 @@ class TestIdealTargetField:
 
 class TestReferenceUnitCell:
     def test_four_ideal_states(self):
-        cell = reference_unit_cell()
+        cell = load_unit_cell("S0")
         assert cell.n_states == 4
         assert all(s.gamma_mag == 1.0 for s in cell.states)
 
     def test_consecutive_gaps_are_90(self):
-        phases = [s.gamma_phase_deg for s in reference_unit_cell().states]
+        phases = [s.gamma_phase_deg for s in load_unit_cell("S0").states]
         gaps = np.diff(phases)
         assert np.all(gaps == 90.0)
 
     def test_cosine_envelope(self):
-        assert reference_unit_cell().q_exponent == 1.0
+        assert load_unit_cell("S0").q_exponent == 1.0
 
 
 TINY_GA = GAParams(population=8, generations=3, seed=7)
@@ -196,13 +203,14 @@ class TestReferencePattern:
             reference_pattern(bm, PW, seed=7, ga_params=params, grid=grid, cache_dir=tmp_path)
         assert len(list((tmp_path / "ref").glob("*.config.csv"))) == 2
 
-    @pytest.mark.parametrize("corrupt", ["config"])
+    @pytest.mark.parametrize("corrupt", ["config", "empty"])
     def test_unreadable_entry_is_recomputed(self, tmp_path, corrupt):
         bm = load_benchmark("B1")
         f1, c1 = reference_pattern(bm, PW, seed=7, ga_params=TINY_GA, cache_dir=tmp_path)
         path = next((tmp_path / "ref").glob("*.config.csv"))
         intact = path.read_bytes()
-        path.write_text("0,a\n")  # a config cell that is not an integer
+        # a config cell that is not an integer, or no rows at all
+        path.write_text({"config": "0,a\n", "empty": ""}[corrupt])
         f2, c2 = reference_pattern(bm, PW, seed=7, ga_params=TINY_GA, cache_dir=tmp_path)
         assert np.array_equal(f1.values, f2.values)
         assert np.array_equal(c1.states, c2.states)
@@ -234,7 +242,7 @@ class TestReferencePattern:
         assert len(files) == 1 and files[0].name.endswith(".config.csv")
         cached = read_config_csv(files[0])
         assert np.array_equal(config.states, cached.states)
-        surface, _ = build_surface(reference_unit_cell(), 40, 40, 1)
+        surface, _ = build_surface(load_unit_cell("S0"), 40, 40, 1)
         expected = FieldEvaluator(surface, PW, grid).field(cached)
         assert field.grid == grid
         assert np.array_equal(field.values, expected.values)

@@ -115,6 +115,8 @@ BAD_CONFIGS = {
         config_ref=_write(tmp, "cfg.csv", "0,1,0,1,0,1\n" * 5 + "a,1,0,1,0,1\n"))),
     "config_ref_wrong_shape": ("simulate", lambda doc, tmp: doc.update(
         config_ref=_write(tmp, "cfg.csv", "0,1,0,1,0\n" * 6))),
+    "config_ref_empty": ("simulate", lambda doc, tmp: doc.update(
+        config_ref=_write(tmp, "cfg.csv", ""))),
 }
 
 
@@ -437,6 +439,32 @@ class TestConfigCsv:
         write_config_csv(cfg, path)
         back = read_config_csv(path)
         assert np.array_equal(back.states, cfg.states)
+
+    def test_empty_file_is_a_parse_error(self, tmp_path, recwarn):
+        from risbench.errors import ConfigParseError
+        from risbench.surface import read_config_csv
+
+        (tmp_path / "cfg.csv").write_text("")
+        with pytest.raises(ConfigParseError):
+            read_config_csv(tmp_path / "cfg.csv")
+        assert not recwarn.list
+
+
+class TestGridWithoutCutPlane:
+    @pytest.mark.parametrize("command", ["optimize", "sweep-grouping", "evaluate"])
+    def test_fails_before_any_output(self, run_config, command):
+        # phi = 0, 120 and 240 only: no phi = 180 column for the principal cut
+        cfg_path, tmp = run_config
+        doc = json.loads(cfg_path.read_text())
+        doc["grid"]["phi_step_deg"] = 120.0
+        cfg_path.write_text(json.dumps(doc))
+        args = [command, "--config", str(cfg_path)]
+        if command == "evaluate":
+            pattern_dir = tmp / "pattern"
+            assert main(["simulate", "--config", str(cfg_path), "--out", str(pattern_dir)]) == 0
+            args += ["--achieved", str(pattern_dir / "pattern.csv"), "--out", str(tmp / "out")]
+        assert main(args) == 3
+        assert not (tmp / "cache").exists() and not (tmp / "out").exists()
 
 
 class TestImport:

@@ -438,6 +438,15 @@ class TestFieldCsv:
         with pytest.raises(IoError):
             read_field_csv(path)
 
+    @pytest.mark.parametrize("text", ["", "theta_deg,phi_deg,re,im,mag\n"],
+                             ids=["empty", "header_only"])
+    def test_no_rows_is_malformed(self, tmp_path, recwarn, text):
+        path = tmp_path / "pattern.csv"
+        path.write_text(text)
+        with pytest.raises(IoError, match="malformed"):
+            read_field_csv(path)
+        assert not recwarn.list
+
     def test_duplicated_row_rejected(self, tmp_path):
         # Every theta and phi value still appears and the row count is right,
         # but one grid point is missing and another appears twice.
