@@ -40,7 +40,7 @@ from .field import (
     phi_distance,
     read_field_csv,  # noqa: F401  kept bound: perfbench's tracer test reads it here
 )
-from .ga import GAParams, run_ga
+from .ga import SEARCH_REVISION, GAParams, run_ga
 from .surface import (
     ConfigMatrix,
     UnitCellSpec,
@@ -164,6 +164,7 @@ def _cache_hash(bm: BenchmarkPattern, cell: UnitCellSpec, src: SourceModel,
         "beams": [dataclasses.astuple(b) for b in bm.beams],
         "cell": dataclasses.asdict(cell),
         "version": __version__,
+        "search": SEARCH_REVISION,
         "src": dataclasses.astuple(src),
         "grid": dataclasses.astuple(grid),
         "ga": [getattr(ga_params, f.name) for f in dataclasses.fields(ga_params)
@@ -191,14 +192,14 @@ def reference_pattern(
     line per cell, against the benchmark's ideal target.  Only the winning
     configuration is cached, as the one file ``cache/ref/<stem>.config.csv``
     keyed by (benchmark id, source kind, seed) plus a hash of the beams, the
-    reference cell, the tool version, the source, the grid and the GA
-    parameters; an entry that does not load is recomputed.  A miss returns
-    the GA's own field of the winner, and a hit computes the field from the
-    configuration with an evaluator built from the same surface, source and
-    grid, so both return the same bits.  A field CSV that an earlier
-    version left next to an entry is ignored and can be deleted.  Earlier
-    versions scored against that CSV's 9-digit print, so DE and NMSE may
-    differ from theirs at about 1e-9 relative.
+    reference cell, the tool version, the search revision, the source, the
+    grid and the GA parameters; an entry that does not load is recomputed.
+    A miss returns the GA's own field of the winner, and a hit computes the
+    field from the configuration with an evaluator built from the same
+    surface, source and grid, so both return the same bits.  A field CSV
+    that an earlier version left next to an entry is ignored and can be
+    deleted.  Earlier versions scored against that CSV's 9-digit print, so
+    DE and NMSE may differ from theirs at about 1e-9 relative.
     """
     grid = grid or GridSpec()
     if ga_params is None:

@@ -22,7 +22,11 @@ one batched real GEMM with an eighth of the multiply-adds of the complex
 direct sum; the row fold halves the reduction over rows and the y table.
 The result matches the direct sum to 1e-12 of the peak magnitude (tested
 on odd and even M and N), not bit for bit; repeated evaluations of one
-configuration on one build are identical.
+configuration on one build are identical.  ``front``'s precision follows
+its tables: they are float64 as built, so ``field`` and every artifact are
+float64, and ``FieldEvaluator.astype(np.float32)`` gives the same kernel
+in float32, which the GA ranks with; its fields agree with float64's to
+about 2.5e-7 of the peak.
 
 Each grid rule the other modules apply lives here once: the front rows
 (``GridSpec.front_rows``), azimuth distance (``phi_distance``), the lobe
@@ -33,6 +37,7 @@ phase shared by planewave incidence and beam steering (``aperture_phase``).
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 from dataclasses import dataclass
@@ -325,19 +330,32 @@ class FieldEvaluator:
         # With s the column sums and d the differences, the n-sum is s.cos +
         # j d.sin at u and s.cos - j d.sin at -u.  One batched GEMM takes Re and
         # Im of s against x's cos table (batch 0) and of j d against its sin table.
-        parts = np.concatenate([folded.real, folded.imag])
+        parts = np.concatenate([folded.real, folded.imag]).astype(self._flips.dtype, copy=False)
         p = parts.reshape(parts.shape[0], 2, -1).transpose(1, 0, 2) @ self._steer_x
         # (re + j im) (cos + j sin) summed over m, at v and at -v: row sums
         # against y's cos table, row differences against its sin table.
         sums = np.einsum("cabml,bml->cbal", p.reshape(2, 2, *self._steer_y.shape), self._steer_y)
-        flips = (sums.reshape(8, -1).T @ self._flips).view(complex)  # (Lq, 4 flips)
+        flips = sums.reshape(8, -1).T @ self._flips
+        flips = flips.view(np.result_type(flips.dtype, 1j))  # (Lq, 4 flips)
         return flips.reshape(self.grid.front_rows, -1)[:, self._columns].ravel()
+
+    def astype(self, dtype) -> "FieldEvaluator":
+        """This evaluator with its real tables cast to ``dtype``, so that
+        ``front`` computes in that precision; ``field`` wants float64."""
+        cast = copy.copy(self)
+        for name in ("_steer_x", "_steer_y", "_flips"):
+            setattr(cast, name, getattr(self, name).astype(dtype))
+        return cast
 
     def field(self, config: ConfigMatrix) -> FieldGrid:
         """Complex far-field of one configuration."""
         validate_config(self.surface, config)
+        return self.grid_of(self.front(config.states))
+
+    def grid_of(self, front: np.ndarray) -> FieldGrid:
+        """The full-grid field of a ``front`` result, zero behind the surface."""
         values = np.zeros(self.grid.n_points, dtype=complex)
-        values[: self.front_size] = self.front(config.states)
+        values[: self.front_size] = front
         return FieldGrid(values=values.reshape(self.grid.shape), grid=self.grid)
 
 

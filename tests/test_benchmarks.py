@@ -14,7 +14,7 @@ from risbench.benchmarks import (
 )
 from risbench.errors import ConfigParseError, OverlappingLobes, UnknownBenchmark
 from risbench.field import FieldEvaluator, GridSpec, SourceModel, principal_cut
-from risbench.ga import GAParams
+from risbench.ga import SEARCH_REVISION, GAParams, run_ga
 from risbench.surface import build_surface, load_unit_cell, read_config_csv
 
 EXPECTED_BEAM_COUNTS = {"B1": 1, "B2": 1, "B3": 2, "B4": 3,
@@ -201,6 +201,21 @@ class TestReferencePattern:
         grid = GridSpec(theta_step_deg=5.0, phi_step_deg=5.0)
         for params in (TINY_GA, dataclasses.replace(TINY_GA, **{name: changed[name]})):
             reference_pattern(bm, PW, seed=7, ga_params=params, grid=grid, cache_dir=tmp_path)
+        assert len(list((tmp_path / "ref").glob("*.config.csv"))) == 2
+
+    def test_entry_of_another_search_revision_is_a_miss(self, tmp_path, monkeypatch):
+        bm = load_benchmark("B1")
+        grid = GridSpec(theta_step_deg=5.0, phi_step_deg=5.0)
+        monkeypatch.setattr("risbench.benchmarks.SEARCH_REVISION", SEARCH_REVISION - 1)
+        reference_pattern(bm, PW, seed=7, ga_params=TINY_GA, grid=grid, cache_dir=tmp_path)
+        monkeypatch.undo()
+
+        runs = []
+        monkeypatch.setattr("risbench.benchmarks.run_ga",
+                            lambda *args: runs.append(1) or run_ga(*args))
+        for _ in range(2):
+            reference_pattern(bm, PW, seed=7, ga_params=TINY_GA, grid=grid, cache_dir=tmp_path)
+        assert len(runs) == 1  # the older revision's entry missed, the current one hit
         assert len(list((tmp_path / "ref").glob("*.config.csv"))) == 2
 
     @pytest.mark.parametrize("corrupt", ["config", "empty"])
