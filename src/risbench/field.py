@@ -389,13 +389,15 @@ def steering_config(surface: SurfaceSpec, theta_deg: float, phi_deg: float = 0.0
 # -- CSV serialization ---------------------------------------------------------
 #
 # Header `theta_deg,phi_deg,re,im,mag`, one row per grid point, theta-major,
-# 9 significant digits.  A reader takes the rows in any order, but they must
-# hold each point of the full grid exactly once, theta from 0 up to 180 and
-# phi from 0 up to 360 at even steps.
+# 9 significant digits: the bytes of np.savetxt(fmt="%.9g").  A reader takes
+# the rows in any order, but they must hold each point of the full grid
+# exactly once, theta from 0 up to 180 and phi from 0 up to 360 at even steps.
+# The writer prints each theta and phi value once per grid and formats one
+# theta row per %; a row whose re and im are all +0.0 (the back hemisphere)
+# is written from a template with no formatting.  A -0.0 prints as "-0", so
+# a row that holds one is formatted like any other.
 
 FIELD_CSV_HEADER = "theta_deg,phi_deg,re,im,mag"
-_CSV_ROW = "%.9g,%.9g,%.9g,%.9g,%.9g\n"
-_CSV_CHUNK_ROWS = 1024
 
 
 def _grid_points(grid: GridSpec) -> np.ndarray:
@@ -406,15 +408,22 @@ def _grid_points(grid: GridSpec) -> np.ndarray:
 
 def write_field_csv(gridval: FieldGrid, path: str | Path) -> None:
     path = Path(path)
-    flat = gridval.values.ravel()
-    table = np.column_stack([_grid_points(gridval.grid), flat.real, flat.imag, np.abs(flat)])
+    values = gridval.values
+    phis = ["%.9g" % p for p in gridval.grid.phi_deg().tolist()]
+    tails = [f",{p},%.9g,%.9g,%.9g\n" for p in phis]
+    zero_tails = [f",{p},0,0,0\n" for p in phis]
+    zero_rows = ~((values != 0) | np.signbit(values.real) | np.signbit(values.imag)).any(axis=1)
+    table = np.stack([values.real, values.imag, np.abs(values)], axis=-1)  # (theta, phi, 3)
     tmp = path.with_name(path.name + ".tmp")  # readers never see a partial file
     try:
         with open(tmp, "w") as out:
             out.write(FIELD_CSV_HEADER + "\n")
-            # One % per chunk of rows: the bytes np.savetxt writes one row at a time.
-            for chunk in np.split(table, range(_CSV_CHUNK_ROWS, len(table), _CSV_CHUNK_ROWS)):
-                out.write(_CSV_ROW * len(chunk) % tuple(chunk.ravel().tolist()))
+            for theta, zero, row in zip(gridval.grid.theta_deg().tolist(), zero_rows, table):
+                th = "%.9g" % theta
+                if zero:
+                    out.write(th + th.join(zero_tails))
+                else:
+                    out.write((th + th.join(tails)) % tuple(row.ravel().tolist()))
         os.replace(tmp, path)
     except OSError as exc:
         raise IoError(f"cannot write field CSV {path}: {exc}") from exc

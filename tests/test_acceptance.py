@@ -1,7 +1,8 @@
 """Acceptance gate: one test per criterion, each printing a pass line.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The full-budget synthesis
-check (tens of minutes) is deselected by default; include it with `-m full`.
+check (about 1 minute at 1 BLAS thread, see README) is deselected by default;
+include it with `-m full`.
 """
 
 import json

@@ -419,6 +419,52 @@ class TestFieldCsv:
         assert (tmp_path / "pattern.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
         assert b"-0,-0,0\n" in (tmp_path / "pattern.csv").read_bytes()
 
+    def test_bytes_match_savetxt_on_zero_rows(self, tmp_path):
+        # All-zero rows are written from a template; a -0.0 must still print "-0".
+        surf, _ = build_surface(ideal_cell(), 40, 40)
+        kernel = FieldEvaluator(surf, PW, GRID).field(steering_config(surf, 25.0, 10.0))
+        odd = GridSpec(30.0, 40.0)  # 6 theta rows x 9 phi columns
+        rng = np.random.default_rng(11)
+        dense = rng.normal(size=odd.shape) + 1j * rng.normal(size=odd.shape)
+        zero_row, neg_re, neg_im = dense.copy(), dense.copy(), dense.copy()
+        zero_row[2] = 0.0
+        neg_re[2], neg_re[2, 4] = 0.0, complex(-0.0, 0.0)
+        neg_im[2], neg_im[2, 8] = 0.0, complex(0.0, -0.0)
+        fields = [kernel, *(FieldGrid(values=v, grid=odd) for v in (dense, zero_row, neg_re, neg_im))]
+        text = []
+        for fg in fields:
+            theta, phi = np.meshgrid(fg.grid.theta_deg(), fg.grid.phi_deg(), indexing="ij")
+            flat = fg.values.ravel()
+            table = np.column_stack([theta.ravel(), phi.ravel(), flat.real, flat.imag, np.abs(flat)])
+            np.savetxt(tmp_path / "oracle.csv", table, fmt="%.9g,%.9g,%.9g,%.9g,%.9g",
+                       header="theta_deg,phi_deg,re,im,mag", comments="")
+            write_field_csv(fg, tmp_path / "pattern.csv")
+            text.append((tmp_path / "pattern.csv").read_text())
+            assert (tmp_path / "pattern.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        assert "\n91,0,0,0,0\n" in text[0] and "\n179,359,0,0,0\n" in text[0]
+        assert "\n60,0,0,0,0\n60,40,0,0,0\n" in text[2]
+        assert "\n60,160,-0,0,0\n" in text[3] and "\n60,320,0,-0,0\n" in text[4]
+
+    @pytest.mark.parametrize("kind", ["kernel_2deg", "dense_random"])
+    def test_codec_is_a_fixed_point(self, tmp_path, kind):
+        if kind == "kernel_2deg":
+            surf, _ = build_surface(ideal_cell(), 40, 40)
+            fg = FieldEvaluator(surf, PW, GridSpec(2.0, 2.0)).field(steering_config(surf, 25.0, 10.0))
+        else:
+            grid = GridSpec(2.0, 3.0)
+            rng = np.random.default_rng(5)
+            fg = FieldGrid(values=rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape),
+                           grid=grid)
+        paths = [tmp_path / f"pattern{i}.csv" for i in range(3)]
+        write_field_csv(fg, paths[0])
+        for src, dst in zip(paths, paths[1:]):
+            write_field_csv(read_field_csv(src), dst)
+        # mag is recomputed from the 9-digit re and im, so the first re-write
+        # may change its last digit; from there on the bytes are fixed.
+        first, second = (p.read_text().splitlines() for p in paths[:2])
+        assert [r.rsplit(",", 1)[0] for r in first] == [r.rsplit(",", 1)[0] for r in second]
+        assert paths[1].read_bytes() == paths[2].read_bytes()
+
     def test_row_count(self, tmp_path):
         surf, _ = build_surface(ideal_cell(), 2, 2)
         fg = FieldEvaluator(surf, PW, GRID).field(uniform_config(surf))
