@@ -128,8 +128,10 @@ def ideal_target_field(bm: BenchmarkPattern, grid: GridSpec | None = None) -> Fi
     of the beam's half-plane.  A one-column target is too sparse to steer an
     optimizer on a 1-degree grid (22 of 64 800 samples), the same reason the
     metric integrals use a phi band.  The result is normalized to a peak of
-    exactly 1; a grid with no theta sample inside any lobe raises
-    ``ConfigMismatch``, since no search can be scored against a zero target.
+    exactly 1.  Every lobe must hold a sample of the grid, a theta inside
+    its span with a phi column in its half-plane's band: a lobe with none
+    raises ``ConfigMismatch``, since its beam would have no target to steer
+    toward and no cut sample to score.
     """
     grid = grid or GridSpec()
     theta = grid.theta_deg()
@@ -140,21 +142,23 @@ def ideal_target_field(bm: BenchmarkPattern, grid: GridSpec | None = None) -> Fi
     phi_off = {plane: phi_distance(phi, plane) for plane in (0.0, 180.0)}
     for beam in bm.beams:
         width = beam.lobe_end_deg - beam.lobe_start_deg
+        sampled = False
         for signed, plane, row_off in ((front, 0.0, 0), (-front[1:], 180.0, 1)):
             inside = (signed >= beam.lobe_start_deg) & (signed <= beam.lobe_end_deg)
-            if not inside.any():
+            cols = band_columns(grid, plane)
+            if not inside.any() or cols.size == 0:
                 continue
+            sampled = True
             s = signed[inside]
             lobe = beam.rel_amplitude * np.cos(
                 math.pi * (s - beam.signed_theta_deg) / width) ** 2
-            cols = band_columns(grid, plane)
             taper = np.cos(math.pi * phi_off[plane][cols] / (2.0 * PHI_BAND_DEG)) ** 2
             rows = np.nonzero(inside)[0] + row_off
             values[np.ix_(rows, cols)] = lobe[:, None] * taper[None, :]
-    peak = values.max()
-    if peak == 0.0:
-        raise ConfigMismatch(f"benchmark {bm.id}: no lobe contains a theta sample of {grid}")
-    return FieldGrid(values=(values / peak).astype(complex), grid=grid)
+        if not sampled:
+            raise ConfigMismatch(f"benchmark {bm.id}: lobe [{beam.lobe_start_deg}, "
+                                 f"{beam.lobe_end_deg}] holds no sample of {grid}")
+    return FieldGrid(values=(values / values.max()).astype(complex), grid=grid)
 
 
 def _cache_hash(bm: BenchmarkPattern, cell: UnitCellSpec, src: SourceModel,
@@ -196,10 +200,7 @@ def reference_pattern(
     grid and the GA parameters; an entry that does not load is recomputed.
     A miss returns the GA's own field of the winner, and a hit computes the
     field from the configuration with an evaluator built from the same
-    surface, source and grid, so both return the same bits.  A field CSV
-    that an earlier version left next to an entry is ignored and can be
-    deleted.  Earlier versions scored against that CSV's 9-digit print, so
-    DE and NMSE may differ from theirs at about 1e-9 relative.
+    surface, source and grid, so both return the same bits.
     """
     grid = grid or GridSpec()
     if ga_params is None:

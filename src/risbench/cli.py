@@ -153,24 +153,44 @@ def write_config_ppm(config, path: Path) -> None:
         fh.write(palette[states].tobytes())
 
 
-def _synthesize(surface, inputs: tuple, target, reference, out: Path):
-    """Run the GA against ``target``, the benchmark's ideal target, write
-    best_config.csv, history.csv and achieved_pattern.csv under ``out``, and
-    score the best field against ``reference``: ``(result, metrics)``."""
+def _synthesize(args, groups=None) -> tuple:
+    """Run the GA once per group size (the surface's own when ``groups`` is
+    None) against the benchmark's ideal target and score each best field
+    against the reference: ``(doc, ga, out, [(surface, result, metrics,
+    report)])``.  Every input and group size is checked before the output
+    directory or a reference-cache entry is made.  Each size writes
+    best_config.csv, history.csv and achieved_pattern.csv into ``out``, or
+    into ``out/g{G}`` when ``groups`` is given."""
+    from .benchmarks import ideal_target_field, reference_pattern
+    from .control import complexity_report
     from .field import write_field_csv
     from .ga import run_ga
     from .metrics import evaluate_all
     from .surface import write_config_csv
 
-    src, _, ga, bm = inputs
-    result = run_ga(surface, src, target, ga)
-    write_config_csv(result.best_config, out / "best_config.csv")
-    with open(out / "history.csv", "w") as fh:
-        fh.write("generation,best_fitness\n")
-        for g, f in enumerate(result.history, start=1):
-            fh.write(f"{g},{f:.9g}\n")
-    write_field_csv(result.best_field, out / "achieved_pattern.csv")
-    return result, evaluate_all(reference, result.best_field, bm)
+    doc, cfg = _load_run_config(args)
+    surface = _resolve_surface(cfg)
+    src, grid, ga, bm = _run_inputs(cfg)
+    target = ideal_target_field(bm, grid)
+    surfaces = [dataclasses.replace(surface, group_size=g)
+                for g in groups or [surface.group_size]]
+    reports = [complexity_report(surf, **cfg.get("control", {})) for surf in surfaces]
+    out = _output_dir(cfg, args.out)
+
+    reference, _ = reference_pattern(bm, src, ga.seed, ga_params=ga, grid=grid)
+    runs = []
+    for surf, report in zip(surfaces, reports):
+        run_dir = out if groups is None else out / f"g{surf.group_size}"
+        run_dir.mkdir(exist_ok=True)
+        result = run_ga(surf, src, target, ga)
+        write_config_csv(result.best_config, run_dir / "best_config.csv")
+        with open(run_dir / "history.csv", "w") as fh:
+            fh.write("generation,best_fitness\n")
+            for g, f in enumerate(result.history, start=1):
+                fh.write(f"{g},{f:.9g}\n")
+        write_field_csv(result.best_field, run_dir / "achieved_pattern.csv")
+        runs.append((surf, result, evaluate_all(reference, result.best_field, bm), report))
+    return doc, ga, out, runs
 
 
 def cmd_simulate(args) -> int:
@@ -199,20 +219,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    from .benchmarks import ideal_target_field, reference_pattern
-    from .control import complexity_report
-
     t0 = time.perf_counter()
-    doc, cfg = _load_run_config(args)
-    surface = _resolve_surface(cfg)
-    inputs = _run_inputs(cfg)
-    src, grid, ga, bm = inputs
-    target = ideal_target_field(bm, grid)
-    report = complexity_report(surface, **cfg.get("control", {}))
-    out = _output_dir(cfg, args.out)
-
-    reference, _ = reference_pattern(bm, src, ga.seed, ga_params=ga, grid=grid)
-    result, metrics = _synthesize(surface, inputs, target, reference, out)
+    doc, ga, out, [(_, result, metrics, report)] = _synthesize(args)
     artifacts = {"best_config_csv": "best_config.csv", "history_csv": "history.csv",
                  "pattern_csv": "achieved_pattern.csv", "record_json": "run_record.json"}
     record = {
@@ -257,37 +265,19 @@ def cmd_evaluate(args) -> int:
 
 def cmd_sweep_grouping(args) -> int:
     """``optimize`` once per group size, into ``g{G}/``, plus ``sweep.csv``."""
-    from .benchmarks import ideal_target_field, reference_pattern
-    from .control import complexity_report
-
-    _, cfg = _load_run_config(args)
-    surface = _resolve_surface(cfg)
-    inputs = _run_inputs(cfg)
-    src, grid, ga, bm = inputs
-    target = ideal_target_field(bm, grid)
     try:
         groups = [int(g) for g in args.groups.split(",")]
     except ValueError as exc:
         raise ConfigParseError(f"bad --groups {args.groups!r}: {exc}") from exc
-    # Every group size and its control figures are checked before anything is written.
-    surfaces = [dataclasses.replace(surface, group_size=g) for g in groups]
-    reports = [complexity_report(surf_g, **cfg.get("control", {})) for surf_g in surfaces]
-    out = _output_dir(cfg, args.out)
-
-    reference, _ = reference_pattern(bm, src, ga.seed, ga_params=ga, grid=grid)
-    rows = []
-    for g, surf_g, report in zip(groups, surfaces, reports):
-        gdir = out / f"g{g}"
-        gdir.mkdir(exist_ok=True)
-        _, metrics = _synthesize(surf_g, inputs, target, reference, gdir)
-        rows.append((g, metrics.de, metrics.nmse, metrics.slr_db,
-                     report.physical_paths, report.switching_rate_hz))
+    _, _, out, runs = _synthesize(args, groups)
 
     sweep_csv = out / "sweep.csv"
     with open(sweep_csv, "w") as fh:
         fh.write("G,de,nmse,slr_db,physical_paths,switching_rate_hz\n")
-        for row in rows:
-            fh.write("%d,%.9g,%.9g,%.9g,%d,%.9g\n" % row)
+        for surface, _, metrics, report in runs:
+            fh.write("%d,%.9g,%.9g,%.9g,%d,%.9g\n" % (
+                surface.group_size, metrics.de, metrics.nmse, metrics.slr_db,
+                report.physical_paths, report.switching_rate_hz))
     print(f"wrote {sweep_csv}")
     return 0
 

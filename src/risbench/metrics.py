@@ -149,7 +149,9 @@ def side_lobe_ratio(achieved: FieldGrid, bm: BenchmarkPattern) -> tuple[float, l
 
     The intended power density is the peak |E|^2 inside each benchmark lobe
     region on the principal cut; the side-lobe density is the strongest
-    peak that falls outside every intended region.
+    peak that falls outside every intended region.  A lobe that holds no
+    sample of the cut raises ``EmptyRegion``; one whose samples carry no
+    power reads ``ZERO_INTENDED_DB``.
     """
     cut = principal_cut(achieved)
     power = cut.magnitude.astype(float) ** 2
@@ -161,7 +163,9 @@ def side_lobe_ratio(achieved: FieldGrid, bm: BenchmarkPattern) -> tuple[float, l
     per_beam = []
     for lo, hi in spans:
         mask = (cut.signed_theta_deg >= lo) & (cut.signed_theta_deg <= hi)
-        intended = float(power[mask].max()) if mask.any() else 0.0
+        if not mask.any():
+            raise EmptyRegion(f"lobe [{lo}, {hi}] holds no sample of the principal cut")
+        intended = float(power[mask].max())
         if side is None:
             per_beam.append(NO_SIDE_LOBE_DB)
         elif intended == 0.0:

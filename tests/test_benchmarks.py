@@ -12,7 +12,8 @@ from risbench.benchmarks import (
     load_benchmark,
     reference_pattern,
 )
-from risbench.errors import ConfigParseError, OverlappingLobes, UnknownBenchmark
+from risbench.errors import (ConfigMismatch, ConfigParseError, OverlappingLobes,
+                             UnknownBenchmark)
 from risbench.field import FieldEvaluator, GridSpec, SourceModel, principal_cut
 from risbench.ga import SEARCH_REVISION, GAParams, run_ga
 from risbench.surface import build_surface, load_unit_cell, read_config_csv
@@ -117,6 +118,21 @@ class TestIdealTargetField:
         nz = np.nonzero(cut.magnitude > 0)[0]
         assert nz.size > 0
         assert np.all(np.diff(nz) == 1)
+
+    def test_every_lobe_needs_a_theta_sample(self):
+        # A 10 deg grid samples -30 in [-33, -27] but nothing in [12, 18].
+        sampled = BeamSpec(-30.0, 1.0, -33.0, -27.0)
+        unsampled = BeamSpec(15.0, 1.0, 12.0, 18.0)
+        grid = GridSpec(10.0, 10.0)
+        bm = BenchmarkPattern(id="custom", beams=(sampled, unsampled))
+        with pytest.raises(ConfigMismatch, match=r"lobe \[12.0, 18.0\]"):
+            ideal_target_field(bm, grid)
+        fg = ideal_target_field(BenchmarkPattern(id="custom", beams=(sampled,)), grid)
+        assert np.abs(fg.values).max() == 1.0
+        # phi = 0, 120 and 240: no column within the band of the phi = 180 plane
+        with pytest.raises(ConfigMismatch, match=r"lobe \[-33.0, -27.0\]"):
+            ideal_target_field(BenchmarkPattern(id="custom", beams=(sampled,)),
+                               GridSpec(10.0, 120.0))
 
     def test_back_hemisphere_zero(self):
         fg = ideal_target_field(load_benchmark("B7"))

@@ -59,6 +59,14 @@ def _lobe_between_samples(doc, tmp):
     doc["grid"]["theta_step_deg"] = 10.0
 
 
+def _one_lobe_between_samples(doc, tmp):
+    """Of the lobes [12, 18] and [-33, -27] deg, a 10 deg grid samples only the second."""
+    beams = [{**BEAM, "theta_deg": 15.0, "start_deg": 12.0, "end_deg": 18.0},
+             {**BEAM, "theta_deg": -30.0, "start_deg": -33.0, "end_deg": -27.0}]
+    doc["benchmark_ref"] = _write(tmp, "bm.json", json.dumps({"id": "mine", "beams": beams}))
+    doc["grid"]["theta_step_deg"] = 10.0
+
+
 # Run configs that must stop with a configuration error (exit 2) before any
 # output: (subcommand, edit of the valid run-config document).
 BAD_CONFIGS = {
@@ -111,6 +119,8 @@ BAD_CONFIGS = {
         "sweep-grouping", lambda doc, tmp: doc.update(control={"pins_k": 0})),
     "lobe_between_samples": ("optimize", _lobe_between_samples),
     "lobe_between_samples_sweep": ("sweep-grouping", _lobe_between_samples),
+    "one_lobe_between_samples": ("optimize", _one_lobe_between_samples),
+    "one_lobe_between_samples_sweep": ("sweep-grouping", _one_lobe_between_samples),
     "config_ref_malformed": ("simulate", lambda doc, tmp: doc.update(
         config_ref=_write(tmp, "cfg.csv", "0,1,0,1,0,1\n" * 5 + "a,1,0,1,0,1\n"))),
     "config_ref_wrong_shape": ("simulate", lambda doc, tmp: doc.update(
@@ -362,6 +372,20 @@ class TestEvaluate:
         assert main(["simulate", "--config", str(cfg_path)]) == 0
         pattern = str(tmp / "out" / "pattern.csv")
         assert main(["evaluate", "--config", str(cfg_path), "--achieved", pattern]) == 0
+
+    def test_reference_path_needs_a_cut_sample_in_every_lobe(self, run_config, capsys):
+        # B1's lobe [27, 33] lies between the theta samples 180/7 and 360/7.
+        cfg_path, tmp = run_config
+        doc = json.loads(cfg_path.read_text())
+        doc["grid"] = {"theta_step_deg": 180 / 7, "phi_step_deg": 30.0}
+        doc.update(rows=2, cols=2)
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(cfg_path)]) == 0
+        pattern = str(tmp / "out" / "pattern.csv")
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(cfg_path),
+                     "--achieved", pattern, "--reference", pattern]) == 3
+        assert "[27.0, 33.0]" in capsys.readouterr().err
 
     def test_benchmark_reference_uses_cache(self, run_config, capsys):
         cfg_path, tmp = run_config

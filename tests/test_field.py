@@ -404,7 +404,7 @@ class TestFieldCsv:
         np.testing.assert_allclose(back.values, fg.values, rtol=1e-8, atol=1e-8 * np.abs(fg.values).max())
 
     def test_bytes_match_savetxt(self, tmp_path):
-        # 90 x 120 = 10800 rows: several full chunks of rows and a partial one.
+        # 90 x 120 = 10800 rows, written one theta row of 120 at a time.
         grid = GridSpec(2.0, 3.0)
         rng = np.random.default_rng(7)
         values = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)

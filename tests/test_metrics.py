@@ -13,6 +13,7 @@ from risbench.errors import (
 from risbench.field import FieldGrid, GridSpec, PrincipalCut, principal_cut
 from risbench.metrics import (
     NO_SIDE_LOBE_DB,
+    ZERO_INTENDED_DB,
     directivity_error,
     directivity_over_region,
     evaluate_all,
@@ -220,6 +221,19 @@ class TestSideLobeRatio:
         slr, per_beam = side_lobe_ratio(lobe_field(), single_beam())
         assert slr == NO_SIDE_LOBE_DB
         assert per_beam == [NO_SIDE_LOBE_DB]
+
+    def test_unpowered_lobe_sentinel(self):
+        # the lobe [27, 33] is sampled but dark; the only peak, at +60, is a side lobe
+        slr, per_beam = side_lobe_ratio(lobe_field(center_deg=60.0), single_beam())
+        assert per_beam == [ZERO_INTENDED_DB]
+        assert slr == ZERO_INTENDED_DB
+
+    def test_lobe_without_cut_sample_is_empty_region(self):
+        # [40.2, 40.8] lies between the 1 degree samples 40 and 41
+        bm = BenchmarkPattern(id="custom", beams=(
+            BeamSpec(30.0, 1.0, 27.0, 33.0), BeamSpec(40.5, 1.0, 40.2, 40.8)))
+        with pytest.raises(EmptyRegion, match=r"\[40.2, 40.8\]"):
+            side_lobe_ratio(lobe_field(), bm)
 
     def test_multi_beam_average(self):
         bm = load_benchmark("B3")
