@@ -35,7 +35,8 @@ from .surface import ConfigMatrix, SurfaceSpec, expand_groups
 # it.  Bump it with any change that can move run_ga's output.
 #   1: float64 ranking (every entry written before the revision was keyed)
 #   2: float32 ranking, float64 report
-SEARCH_REVISION = 2
+#   3: angle-addition steering tables
+SEARCH_REVISION = 3
 
 
 @dataclass(frozen=True)

@@ -270,15 +270,18 @@ def direct_sum_field(surf, config, src, grid):
     return values
 
 
+FIDELITY_SOURCES = [
+    SourceModel.point((0.011, -0.023, 0.09)),
+    SourceModel.planewave(amplitude=2.0, theta_inc_deg=25.0, phi_inc_deg=40.0),
+]
+
+
 class TestFidelity:
     """The evaluator against a per-direction direct sum, to 1e-12 of the peak."""
 
     @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 6), (1, 7), (4, 6), (5, 7), (6, 3),
                                             (2, 5), (3, 4), (7, 2)])
-    @pytest.mark.parametrize("src", [
-        SourceModel.point((0.011, -0.023, 0.09)),
-        SourceModel.planewave(amplitude=2.0, theta_inc_deg=25.0, phi_inc_deg=40.0),
-    ], ids=["point", "planewave_oblique"])
+    @pytest.mark.parametrize("src", FIDELITY_SOURCES, ids=["point", "planewave_oblique"])
     @pytest.mark.parametrize("grid", [
         GridSpec(9.0, 8.0),     # 45 phi columns
         GridSpec(10.0, 12.0),   # 30 phi columns
@@ -289,15 +292,26 @@ class TestFidelity:
         GridSpec(45.0, 360.0),  # 1 phi column
     ], ids=lambda g: f"phi{g.shape[1]}")
     def test_field_matches_direct_sum(self, rows, cols, src, grid):
-        cell = load_unit_cell("S3")
-        surf, _ = build_surface(cell, rows, cols)
-        rng = np.random.default_rng(rows * 10 + cols)
-        cfg = ConfigMatrix(states=rng.integers(0, cell.n_states, size=(rows, cols)))
-        got = FieldEvaluator(surf, src, grid).field(cfg).values
-        want = direct_sum_field(surf, cfg, src, grid)
-        peak = np.abs(want).max()
-        assert peak > 0.0
-        assert np.max(np.abs(got - want)) <= 1e-12 * peak
+        assert_matches_direct_sum(rows, cols, src, grid)
+
+    # The steering tables rotate up to 15 rows from each libm seed, so large
+    # surfaces check that the rounding does not grow past the bound.
+    @pytest.mark.parametrize("rows, cols", [(64, 64), (63, 65), (256, 256)])
+    @pytest.mark.parametrize("src", FIDELITY_SOURCES, ids=["point", "planewave_oblique"])
+    def test_large_surface_matches_direct_sum(self, rows, cols, src):
+        assert_matches_direct_sum(rows, cols, src, GridSpec(10.0, 12.0))
+
+
+def assert_matches_direct_sum(rows, cols, src, grid):
+    cell = load_unit_cell("S3")
+    surf, _ = build_surface(cell, rows, cols)
+    rng = np.random.default_rng(rows * 10 + cols)
+    cfg = ConfigMatrix(states=rng.integers(0, cell.n_states, size=(rows, cols)))
+    got = FieldEvaluator(surf, src, grid).field(cfg).values
+    want = direct_sum_field(surf, cfg, src, grid)
+    peak = np.abs(want).max()
+    assert peak > 0.0
+    assert np.max(np.abs(got - want)) <= 1e-12 * peak
 
 
 class TestPrincipalCut:
@@ -492,6 +506,56 @@ class TestFieldCsv:
         with pytest.raises(IoError, match="malformed"):
             read_field_csv(path)
         assert not recwarn.list
+
+    def test_shuffled_rows_read_the_same(self, tmp_path):
+        surf, _ = build_surface(ideal_cell(), 4, 4)
+        fg = FieldEvaluator(surf, PW, GridSpec(10.0, 12.0)).field(steering_config(surf, 22.0))
+        path = tmp_path / "pattern.csv"
+        write_field_csv(fg, path)
+        header, *rows = path.read_text().splitlines()
+        in_order = read_field_csv(path)
+        np.random.default_rng(3).shuffle(rows)
+        path.write_text("\n".join([header, *rows]) + "\n")
+        back = read_field_csv(path)
+        assert back.grid == in_order.grid
+        assert np.array_equal(back.values, in_order.values)
+
+    @pytest.mark.parametrize("column", [0, 1], ids=["theta", "phi"])
+    @pytest.mark.parametrize("offset, ok", [(1e-7, True), (-1e-7, True),
+                                            (1e-5, False), (-1e-5, False)])
+    def test_angle_tolerance(self, tmp_path, column, offset, ok):
+        # One row of a 6 x 4 grid moves off its point (60, 90) by ``offset`` degrees.
+        grid = GridSpec(30.0, 90.0)
+        rng = np.random.default_rng(2)
+        fg = FieldGrid(values=rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape),
+                       grid=grid)
+        path = tmp_path / "pattern.csv"
+        write_field_csv(fg, path)
+        lines = path.read_text().splitlines()
+        row = next(k for k, r in enumerate(lines) if r.startswith("60,90,"))
+        fields = lines[row].split(",")
+        fields[column] = repr(float(fields[column]) + offset)
+        lines[row] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        if ok:
+            back = read_field_csv(path)
+            assert back.grid == grid
+            np.testing.assert_allclose(back.values, fg.values, rtol=1e-8)
+        else:
+            with pytest.raises(IoError, match="exactly once"):
+                read_field_csv(path)
+
+    def test_phi_360_row_rejected(self, tmp_path):
+        # The row count and the phi = 0 rows are intact; (60, 90) became (60, 360).
+        surf, _ = build_surface(ideal_cell(), 4, 4)
+        fg = FieldEvaluator(surf, PW, GridSpec(30.0, 90.0)).field(steering_config(surf, 22.0))
+        path = tmp_path / "pattern.csv"
+        write_field_csv(fg, path)
+        text = path.read_text()
+        assert "\n60,90," in text
+        path.write_text(text.replace("\n60,90,", "\n60,360,"))
+        with pytest.raises(IoError, match="exactly once"):
+            read_field_csv(path)
 
     def test_duplicated_row_rejected(self, tmp_path):
         # Every theta and phi value still appears and the row count is right,
