@@ -189,6 +189,7 @@ def reference_pattern(
     ga_params: GAParams | None = None,
     grid: GridSpec | None = None,
     cache_dir: str | Path | None = None,
+    threads: int = 1,
 ) -> tuple[FieldGrid, ConfigMatrix]:
     """Synthesize (or load) the reference surface's pattern for a benchmark.
 
@@ -200,7 +201,8 @@ def reference_pattern(
     grid and the GA parameters; an entry that does not load is recomputed.
     A miss returns the GA's own field of the winner, and a hit computes the
     field from the configuration with an evaluator built from the same
-    surface, source and grid, so both return the same bits.
+    surface, source and grid, so both return the same bits.  A miss runs the
+    GA on ``threads`` threads, which the entry does not depend on.
     """
     grid = grid or GridSpec()
     if ga_params is None:
@@ -218,7 +220,7 @@ def reference_pattern(
     try:
         config = validate_config(surface, read_config_csv(config_path))
     except RisBenchError:  # missing or unreadable entry: a cache miss
-        result = run_ga(surface, src, ideal_target_field(bm, grid), ga_params)
+        result = run_ga(surface, src, ideal_target_field(bm, grid), ga_params, threads)
         ref_dir.mkdir(parents=True, exist_ok=True)
         write_config_csv(result.best_config, config_path)
         return result.best_field, result.best_config

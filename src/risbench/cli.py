@@ -7,8 +7,9 @@ data only (CSV and pixmap), rendering is left to external tools.
 Exit codes: 0 success, 2 configuration error, 3 numeric or domain error,
 4 I/O error.
 
-Nothing here imports numpy at module level: ``main`` sets the BLAS thread
-variables from ``--threads`` before a handler's first import loads it.
+Nothing here imports numpy at module level: ``main`` pins BLAS to one
+thread per call before a handler's first import loads it, and the GA
+spreads its scoring over ``--threads`` threads instead.
 """
 
 from __future__ import annotations
@@ -177,12 +178,13 @@ def _synthesize(args, groups=None) -> tuple:
     reports = [complexity_report(surf, **cfg.get("control", {})) for surf in surfaces]
     out = _output_dir(cfg, args.out)
 
-    reference, _ = reference_pattern(bm, src, ga.seed, ga_params=ga, grid=grid)
+    reference, _ = reference_pattern(bm, src, ga.seed, ga_params=ga, grid=grid,
+                                     threads=args.threads)
     runs = []
     for surf, report in zip(surfaces, reports):
         run_dir = out if groups is None else out / f"g{surf.group_size}"
         run_dir.mkdir(exist_ok=True)
-        result = run_ga(surf, src, target, ga)
+        result = run_ga(surf, src, target, ga, threads=args.threads)
         write_config_csv(result.best_config, run_dir / "best_config.csv")
         with open(run_dir / "history.csv", "w") as fh:
             fh.write("generation,best_fitness\n")
@@ -253,7 +255,8 @@ def cmd_evaluate(args) -> int:
     elif achieved.grid != grid:  # checked before the reference GA runs and is cached
         raise GridMismatch(f"achieved pattern is on {achieved.grid}, the run config on {grid}")
     else:
-        reference, _ = reference_pattern(bm, src, ga.seed, ga_params=ga, grid=grid)
+        reference, _ = reference_pattern(bm, src, ga.seed, ga_params=ga, grid=grid,
+                                         threads=args.threads)
     metrics = evaluate_all(reference, achieved, bm)
     text = json.dumps(metrics.to_dict(), indent=2)
     print(text)
@@ -322,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Far-field simulator and benchmark harness for tunable surfaces",
     )
     parser.add_argument("--threads", type=int, default=None,
-                        help="cap BLAS worker threads (default: all cores)")
+                        help="GA scoring threads (default and cap: the usable cores)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
@@ -356,6 +359,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _thread_count(requested: int | None) -> int:
+    """GA scoring threads: ``requested``, or by default every core this
+    process may run on, capped at that number of cores."""
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:  # macOS and Windows
+        cores = os.cpu_count() or 1
+    return min(requested or cores, cores)
+
+
 _HANDLERS = {
     "simulate": cmd_simulate,
     "optimize": cmd_optimize,
@@ -368,12 +381,13 @@ _HANDLERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None:
-        if args.threads < 1:
-            parser.error(f"--threads must be at least 1, got {args.threads}")
-        # Must land before numpy loads its BLAS; handlers import lazily.
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
+    if args.threads is not None and args.threads < 1:
+        parser.error(f"--threads must be at least 1, got {args.threads}")
+    args.threads = _thread_count(args.threads)
+    # The GA's threads share the cores, so each BLAS call keeps to one.  This
+    # must land before numpy loads its BLAS; handlers import lazily.
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
 
     try:
         return _HANDLERS[args.command](args)

@@ -17,11 +17,17 @@ field(best_config))`` bit for bit, ``best_field`` is ``field(best_config)``,
 each ``history`` entry is the exact fitness of that generation's incumbent,
 and ``history`` never decreases.  ``fitness`` and ``exhaustive_search``
 score in float64 only.
+
+``run_ga`` may score each batch of chromosomes on several threads; the
+ranking is a pure function of the chromosome and the scores go back in
+batch order, so the result is bit for bit the same at any thread count.
 """
 
 from __future__ import annotations
 
 import itertools
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,7 +95,9 @@ class _Objective:
     front hemisphere only, plus the target's back-hemisphere energy, a
     constant since the achieved field is zero there.  It agrees with the
     exact fitness to about 1e-6 relative, enough to rank chromosomes; no
-    reported value comes from it.  Both count one evaluation.
+    reported value comes from it.  A call counts one evaluation; ``rank``
+    leaves the count to its caller, since it may run on several threads at
+    once.
     """
 
     def __init__(self, surface: SurfaceSpec, src: SourceModel, target: FieldGrid):
@@ -120,7 +128,6 @@ class _Objective:
     def rank(self, chromosome: np.ndarray) -> float:
         mags = np.abs(self._ranker.front(chromosome[self._group_ids]))
         diff = self._t_front - mags / peak_magnitude(mags)
-        self.evaluations += 1
         return -(float(diff @ diff) + self._t_back_energy) / self.target.grid.n_points
 
 
@@ -131,68 +138,96 @@ def fitness(config: ConfigMatrix, target: FieldGrid, surface: SurfaceSpec,
     return -nmse(target, achieved)
 
 
+def _rank_rows(rank, rows: np.ndarray) -> list[float]:
+    return [rank(row) for row in rows]
+
+
+def _rank_batch(rank, batch: np.ndarray, pool, threads: int) -> list[float]:
+    """``rank`` of each row of ``batch``, in row order.  The batch is cut into
+    ``threads`` shares; the calling thread ranks the first while ``pool``
+    (``threads - 1`` workers) ranks the others."""
+    first, *rest = np.array_split(batch, threads)
+    futures = [pool.submit(_rank_rows, rank, share) for share in rest if len(share)]
+    scores = _rank_rows(rank, first)
+    for future in futures:
+        scores += future.result()
+    return scores
+
+
 def run_ga(surface: SurfaceSpec, src: SourceModel, target: FieldGrid,
-           params: GAParams | None = None) -> GAResult:
-    """Tournament-selection GA with uniform crossover and elitism."""
+           params: GAParams | None = None, threads: int = 1) -> GAResult:
+    """Tournament-selection GA with uniform crossover and elitism.
+
+    ``threads`` threads rank each batch: the initial population, then each
+    generation's distinct new children.  The result does not depend on it.
+    """
     params = params or GAParams()
+    if threads < 1:
+        raise NonPositiveParam(f"threads must be >= 1, got {threads}")
     objective = _Objective(surface, src, target)
     n_genes = surface.n_groups
     n_states = surface.cell.n_states
     p_mut = (params.mutation_prob_per_gene
              if params.mutation_prob_per_gene is not None else 1.0 / n_genes)
 
-    rng = np.random.default_rng(params.seed)
-    pop = rng.integers(0, n_states, size=(params.population, n_genes), dtype=np.int64)
-    fits = np.array([objective.rank(ind) for ind in pop])
+    with ThreadPoolExecutor(threads - 1) if threads > 1 else nullcontext() as pool:
+        rng = np.random.default_rng(params.seed)
+        pop = rng.integers(0, n_states, size=(params.population, n_genes), dtype=np.int64)
+        fits = np.array(_rank_batch(objective.rank, pop, pool, threads))
+        evaluations = len(pop)
 
-    def tournament() -> int:
-        idx = rng.integers(0, params.population, size=params.tournament_size)
-        return int(idx[np.argmax(fits[idx])])
+        def tournament() -> int:
+            idx = rng.integers(0, params.population, size=params.tournament_size)
+            return int(idx[np.argmax(fits[idx])])
 
-    # The incumbent is the best chromosome by exact fitness among the
-    # generations' float32 winners; only it is reported.  A winner that
-    # stays on top is scored exactly once.
-    incumbent, best_fitness, best_field, checked = None, -np.inf, None, None
-    history = []
-    for _ in range(params.generations):
-        elites = np.argsort(-fits, kind="stable")[: params.elitism]
-        children = np.empty((params.population - params.elitism, n_genes), dtype=np.int64)
-        for child in children:
-            parents = (tournament(), tournament())
-            if rng.random() < params.crossover_prob:
-                mask = rng.random(n_genes) < 0.5
-                child[:] = np.where(mask, pop[parents[0]], pop[parents[1]])
-            else:
-                child[:] = pop[parents[0]]
-            mut = rng.random(n_genes) < p_mut
-            if mut.any():
-                child[mut] = rng.integers(0, n_states, size=int(mut.sum()))
-        # scoring draws nothing, so it follows breeding; the objective is pure,
-        # so a chromosome already in the population or already scored keeps its score
-        scores = {ind.tobytes(): fit for ind, fit in zip(pop, fits)}
-        child_fits = np.empty(children.shape[0])
-        for i, child in enumerate(children):
-            key = child.tobytes()
-            if key not in scores:
-                scores[key] = objective.rank(child)
-            child_fits[i] = scores[key]
+        # The incumbent is the best chromosome by exact fitness among the
+        # generations' float32 winners; only it is reported.  A winner that
+        # stays on top is scored exactly once.
+        incumbent, best_fitness, best_field, checked = None, -np.inf, None, None
+        history = []
+        for _ in range(params.generations):
+            elites = np.argsort(-fits, kind="stable")[: params.elitism]
+            children = np.empty((params.population - params.elitism, n_genes), dtype=np.int64)
+            for child in children:
+                parents = (tournament(), tournament())
+                if rng.random() < params.crossover_prob:
+                    mask = rng.random(n_genes) < 0.5
+                    child[:] = np.where(mask, pop[parents[0]], pop[parents[1]])
+                else:
+                    child[:] = pop[parents[0]]
+                mut = rng.random(n_genes) < p_mut
+                if mut.any():
+                    child[mut] = rng.integers(0, n_states, size=int(mut.sum()))
+            # scoring draws nothing, so it follows breeding; the objective is
+            # pure, so a chromosome already in the population or already
+            # bred this generation keeps one score
+            scores = {ind.tobytes(): fit for ind, fit in zip(pop, fits)}
+            fresh = {}
+            for child in children:
+                key = child.tobytes()
+                if key not in scores:
+                    fresh.setdefault(key, child)
+            batch = np.array(list(fresh.values()))
+            scores.update(zip(fresh, _rank_batch(objective.rank, batch, pool, threads)))
+            evaluations += len(fresh)
+            child_fits = np.array([scores[child.tobytes()] for child in children])
 
-        pop = np.vstack([pop[elites], children])
-        fits = np.concatenate([fits[elites], child_fits])
-        top = pop[int(np.argmax(fits))]
-        if checked is None or not np.array_equal(top, checked):
-            checked, field = top, objective.field(top)
-            exact = -nmse(target, field)
-            if exact > best_fitness:
-                incumbent, best_fitness, best_field = top, exact, field
-        history.append(best_fitness)
+            pop = np.vstack([pop[elites], children])
+            fits = np.concatenate([fits[elites], child_fits])
+            top = pop[int(np.argmax(fits))]
+            if checked is None or not np.array_equal(top, checked):
+                checked, field = top, objective.field(top)
+                exact = -nmse(target, field)
+                if exact > best_fitness:
+                    incumbent, best_fitness, best_field = top, exact, field
+            history.append(best_fitness)
 
     return GAResult(
         best_config=objective.config_of(incumbent),
         best_field=best_field,
         best_fitness=best_fitness,
         history=tuple(history),
-        evaluations=objective.evaluations,
+        evaluations=evaluations,
     )
 
 

@@ -314,6 +314,20 @@ class TestOptimize:
                                          "achieved_pattern.csv")]
         assert outs[1] == outs[2]
 
+    def test_default_thread_count_leaves_artifacts_unchanged(self, run_config):
+        cfg_path, tmp = run_config
+        outs = {}
+        for flag in ([], ["--threads", "1"]):
+            out = tmp / f"t{len(flag)}"
+            stdout = fresh_process(
+                ["-m", "risbench.cli", *flag, "optimize",
+                 "--config", str(cfg_path), "--out", str(out)],
+                RISBENCH_CACHE_DIR=str(out / "cache"))
+            outs[len(flag)] = [stdout] + [(out / name).read_bytes() for name in
+                                          ("best_config.csv", "history.csv",
+                                           "achieved_pattern.csv")]
+        assert outs[0] == outs[2]
+
 
 class TestEvaluate:
     def test_self_evaluation_is_zero(self, run_config, capsys):
@@ -518,6 +532,35 @@ class TestThreads:
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
         assert not any(var in os.environ for var in THREAD_VARS)
+
+    def test_blas_pinned_to_one_thread(self, monkeypatch):
+        for var in THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        assert main(["table1", "--json"]) == 0
+        assert all(os.environ[var] == "1" for var in THREAD_VARS)
+
+    @pytest.mark.parametrize("flag, pools", [([], [2, 2]), (["--threads", "1"], []),
+                                             (["--threads", "2"], [1, 1]),
+                                             (["--threads", "100000"], [2, 2])])
+    def test_ga_threads_default_to_and_cap_at_the_cores(self, flag, pools, run_config,
+                                                        monkeypatch):
+        # Three usable cores, whatever the host has.  Each GA (the
+        # reference's, then the run's) records the size of the pool it opens,
+        # so no large thread count is ever started.
+        import risbench.ga as ga_mod
+
+        cfg_path, _ = run_config
+        sizes = []
+
+        class Pool(ga_mod.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(ga_mod, "ThreadPoolExecutor", Pool)
+        assert main([*flag, "optimize", "--config", str(cfg_path)]) == 0
+        assert sizes == pools
 
 
 class TestTable1:

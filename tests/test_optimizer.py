@@ -1,4 +1,5 @@
 import hashlib
+import threading
 import tracemalloc
 
 import numpy as np
@@ -240,13 +241,61 @@ class TestRunGa:
         assert np.array_equal(res.best_field.values, rendered.values)
         assert res.evaluations == len(calls)
 
-    def test_search_revision_names_the_search(self):
+    @staticmethod
+    def search_digest(threads=1):
         surf, _ = build_surface(load_unit_cell("S0"), 6, 6)
         target = ideal_target_field(load_benchmark("B1"), GridSpec(6.0, 6.0))
-        res = run_ga(surf, PW, target, GAParams(population=20, generations=10, seed=42))
+        res = run_ga(surf, PW, target, GAParams(population=20, generations=10, seed=42),
+                     threads=threads)
         digest = hashlib.sha256(res.best_config.states.astype("<i8").tobytes()
                                 + np.asarray(res.history, "<f8").tobytes())
-        assert digest.hexdigest()[:16] == SEARCH_DIGESTS[SEARCH_REVISION]
+        return digest.hexdigest()[:16]
+
+    def test_search_revision_names_the_search(self):
+        assert self.search_digest() == SEARCH_DIGESTS[SEARCH_REVISION]
+
+    def test_search_revision_holds_on_two_threads(self):
+        assert self.search_digest(threads=2) == SEARCH_DIGESTS[SEARCH_REVISION]
+
+    def test_thread_count_leaves_result_unchanged(self):
+        src = SourceModel.point((0.01, -0.02, 0.3))
+        surf, _ = build_surface(load_unit_cell("S3"), 8, 8, 2)
+        target = ideal_target_field(load_benchmark("B8"), GridSpec(2.0, 2.0))
+        params = GAParams(population=16, generations=12, seed=3)
+        base, *others = (run_ga(surf, src, target, params, threads=t) for t in (1, 2, 3))
+        for res in others:
+            assert np.array_equal(res.best_config.states, base.best_config.states)
+            assert res.best_fitness == base.best_fitness
+            assert res.history == base.history
+            assert res.evaluations == base.evaluations
+            assert np.array_equal(res.best_field.values, base.best_field.values)
+
+    def test_rank_error_propagates_and_closes_the_pool(self, monkeypatch):
+        import risbench.ga as ga_mod
+
+        calls = []
+        orig = ga_mod._Objective.rank
+
+        def rank(self, chromosome):
+            calls.append(1)
+            if len(calls) == 5:
+                raise FloatingPointError("fifth rank call")
+            return orig(self, chromosome)
+
+        monkeypatch.setattr(ga_mod._Objective, "rank", rank)
+        surf, _ = build_surface(one_bit_cell(), 2, 3)
+        target = reachable_target(surf, [[0, 1, 0], [1, 0, 1]])
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="fifth"):
+            run_ga(surf, PW, target, GAParams(population=10, generations=4, seed=1),
+                   threads=2)
+        assert threading.active_count() == before
+
+    def test_threads_below_one_rejected(self):
+        surf, _ = build_surface(one_bit_cell(), 1, 2)
+        target = reachable_target(surf, [[0, 1]])
+        with pytest.raises(NonPositiveParam):
+            run_ga(surf, PW, target, GAParams(population=4, generations=1), threads=0)
 
 
 class TestGaVsOracle:
