@@ -302,31 +302,17 @@ class TestOptimize:
 
     def test_thread_count_leaves_artifacts_unchanged(self, run_config):
         cfg_path, tmp = run_config
-        outs = {}
-        for threads in (1, 2):
-            out = tmp / f"t{threads}"
-            stdout = fresh_process(
-                ["-m", "risbench.cli", "--threads", str(threads), "optimize",
-                 "--config", str(cfg_path), "--out", str(out)],
-                RISBENCH_CACHE_DIR=str(out / "cache"))
-            outs[threads] = [stdout] + [(out / name).read_bytes() for name in
-                                        ("best_config.csv", "history.csv",
-                                         "achieved_pattern.csv")]
-        assert outs[1] == outs[2]
-
-    def test_default_thread_count_leaves_artifacts_unchanged(self, run_config):
-        cfg_path, tmp = run_config
-        outs = {}
-        for flag in ([], ["--threads", "1"]):
-            out = tmp / f"t{len(flag)}"
+        outs = []
+        for i, flag in enumerate(([], ["--threads", "1"], ["--threads", "2"])):
+            out = tmp / f"t{i}"
             stdout = fresh_process(
                 ["-m", "risbench.cli", *flag, "optimize",
                  "--config", str(cfg_path), "--out", str(out)],
                 RISBENCH_CACHE_DIR=str(out / "cache"))
-            outs[len(flag)] = [stdout] + [(out / name).read_bytes() for name in
-                                          ("best_config.csv", "history.csv",
-                                           "achieved_pattern.csv")]
-        assert outs[0] == outs[2]
+            outs.append([stdout] + [(out / name).read_bytes() for name in
+                                    ("best_config.csv", "history.csv",
+                                     "achieved_pattern.csv")])
+        assert outs[0] == outs[1] == outs[2]
 
 
 class TestEvaluate:
