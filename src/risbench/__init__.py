@@ -17,7 +17,7 @@ _EXPORTS = {
     "field": ("FieldEvaluator", "FieldGrid", "GridSpec", "PrincipalCut", "SourceModel",
               "principal_cut", "radiation_factor", "read_field_csv", "steering_config",
               "write_field_csv"),
-    "ga": ("GAParams", "GAResult", "exhaustive_search", "fitness", "run_ga"),
+    "ga": ("GAParams", "GAResult", "fitness", "run_ga"),
     "metrics": ("MetricsReport", "directivity_error", "directivity_over_region",
                 "evaluate_all", "lobe_peaks", "nmse", "side_lobe_ratio"),
     "surface": ("ConfigMatrix", "ReflectionState", "SurfaceSpec", "UnitCellSpec",

@@ -38,22 +38,30 @@ def _floats(n: int):
     return convert
 
 
-def _optional_number(value) -> float | None:
-    return None if value is None else json_number(value)
+def _optional(rule):
+    return lambda value: None if value is None else rule(value)
 
 
-# Every run-config key and how its value converts: None keeps the value as
-# written, a dict is a section with keys of its own.  Only the keys a config
-# gives are passed on, so each default stays with the code that takes it.
+def _string(value) -> str:
+    """A path, id or name; ``Path()`` would raise TypeError on a number."""
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
+# Every run-config key and how its value converts; a dict is a section with
+# keys of its own.  Only the keys a config gives are passed on, so each
+# default stays with the code that takes it.
 RUN_CONFIG = {
-    "surface_ref": None, "benchmark_ref": None, "config_ref": None, "output_dir": None,
+    "surface_ref": _string, "benchmark_ref": _string, "config_ref": _optional(_string),
+    "output_dir": _string,
     "rows": json_integer, "cols": json_integer, "group_size": json_integer,
-    "pitch_mm": _optional_number, "steer_deg": _optional_number,
-    "source": {"kind": None, "amplitude": json_number, "incidence_deg": _floats(2),
+    "pitch_mm": _optional(json_number), "steer_deg": _optional(json_number),
+    "source": {"kind": _string, "amplitude": json_number, "incidence_deg": _floats(2),
                "position_m": _floats(3)},
     "grid": {"theta_step_deg": json_number, "phi_step_deg": json_number},
     "ga": {"population": json_integer, "generations": json_integer,
-           "crossover_prob": json_number, "mutation_prob_per_gene": _optional_number,
+           "crossover_prob": json_number, "mutation_prob_per_gene": _optional(json_number),
            "elitism": json_integer, "tournament_size": json_integer, "seed": json_integer},
     "control": {"pins_k": json_integer, "tau_s": json_number, "diode_power_w": json_number},
 }
@@ -72,7 +80,7 @@ def _parse_section(values, schema: dict, where: str) -> dict:
             parsed[key] = _parse_section(value, rule, f"{where} {key}")
             continue
         try:
-            parsed[key] = value if rule is None else rule(value)
+            parsed[key] = rule(value)
         except (TypeError, ValueError) as exc:
             raise ConfigParseError(f"bad {where} {key} {value!r}: {exc}") from exc
     return parsed
@@ -270,6 +278,8 @@ def cmd_sweep_grouping(args) -> int:
     """``optimize`` once per group size, into ``g{G}/``, plus ``sweep.csv``."""
     try:
         groups = [int(g) for g in args.groups.split(",")]
+        if len(set(groups)) < len(groups):
+            raise ValueError("a group size is repeated")
     except ValueError as exc:
         raise ConfigParseError(f"bad --groups {args.groups!r}: {exc}") from exc
     _, _, out, runs = _synthesize(args, groups)

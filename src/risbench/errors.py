@@ -110,12 +110,6 @@ class ZeroReferenceDirectivity(DomainError):
     """Reference field carries no power in the intended regions."""
 
 
-# -- optimizer ---------------------------------------------------------------
-
-class SearchSpaceTooLarge(DomainError):
-    """Exhaustive enumeration refused beyond the size guard."""
-
-
 # -- harness -----------------------------------------------------------------
 
 class ConfigParseError(ConfigError):

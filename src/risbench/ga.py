@@ -1,4 +1,4 @@
-"""Genetic search over group-level diode states, plus a tiny-instance oracle.
+"""Genetic search over group-level diode states.
 
 The chromosome holds one state index per control group (length M*N/G), so
 grouping shrinks the search space and models shared control lines with the
@@ -15,8 +15,7 @@ exactly in float64 and becomes the incumbent only if that score beats the
 incumbent's.  So ``best_fitness`` equals ``-nmse(target,
 field(best_config))`` bit for bit, ``best_field`` is ``field(best_config)``,
 each ``history`` entry is the exact fitness of that generation's incumbent,
-and ``history`` never decreases.  ``fitness`` and ``exhaustive_search``
-score in float64 only.
+and ``history`` never decreases.  ``fitness`` scores in float64 only.
 
 ``run_ga`` may score each batch of chromosomes on several threads; the
 ranking is a pure function of the chromosome and the scores go back in
@@ -25,14 +24,13 @@ batch order, so the result is bit for bit the same at any thread count.
 
 from __future__ import annotations
 
-import itertools
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveParam, SearchSpaceTooLarge
+from .errors import NonPositiveParam
 from .field import FieldEvaluator, FieldGrid, SourceModel, peak_magnitude
 from .metrics import nmse
 from .surface import ConfigMatrix, SurfaceSpec, expand_groups
@@ -88,25 +86,20 @@ class GAResult:
 class _Objective:
     """Fitness of a group-state chromosome, in two precisions.
 
-    ``objective(chromosome)`` is the exact fitness: the float64 field of
-    ``evaluator.front`` scored by ``-nmse``, so it equals
-    ``-nmse(target, evaluator.field(config))`` bit for bit.  ``rank`` is
-    the search score: the same kernel on float32 tables, summed over the
-    front hemisphere only, plus the target's back-hemisphere energy, a
-    constant since the achieved field is zero there.  It agrees with the
-    exact fitness to about 1e-6 relative, enough to rank chromosomes; no
-    reported value comes from it.  A call counts one evaluation; ``rank``
-    leaves the count to its caller, since it may run on several threads at
-    once.
+    ``field`` is the float64 field of ``evaluator.front``, so ``-nmse(target,
+    objective.field(chromosome))`` is the exact fitness, bit for bit that of
+    ``evaluator.field(config)``.  ``rank`` is the search score: the same
+    kernel on float32 tables, summed over the front hemisphere only, plus the
+    target's back-hemisphere energy, a constant since the achieved field is
+    zero there.  It agrees with the exact fitness to about 1e-6 relative,
+    enough to rank chromosomes; no reported value comes from it.
     """
 
     def __init__(self, surface: SurfaceSpec, src: SourceModel, target: FieldGrid):
-        self.surface = surface
         self.target = target
         self._group_ids = surface.group_ids()
         self.evaluator = FieldEvaluator(surface, src, target.grid)
         self._ranker = self.evaluator.astype(np.float32)
-        self.evaluations = 0
 
         t_mags = target.magnitude()
         t_norm = (t_mags / peak_magnitude(t_mags)).ravel()
@@ -114,16 +107,9 @@ class _Objective:
         self._t_front = t_norm[:front].astype(np.float32)
         self._t_back_energy = float(t_norm[front:] @ t_norm[front:])
 
-    def config_of(self, chromosome: np.ndarray) -> ConfigMatrix:
-        return expand_groups(chromosome, self.surface)
-
     def field(self, chromosome: np.ndarray) -> FieldGrid:
         """Float64 field of a chromosome, bit for bit ``evaluator.field``'s."""
         return self.evaluator.grid_of(self.evaluator.front(chromosome[self._group_ids]))
-
-    def __call__(self, chromosome: np.ndarray) -> float:
-        self.evaluations += 1
-        return -nmse(self.target, self.field(chromosome))
 
     def rank(self, chromosome: np.ndarray) -> float:
         mags = np.abs(self._ranker.front(chromosome[self._group_ids]))
@@ -223,36 +209,10 @@ def run_ga(surface: SurfaceSpec, src: SourceModel, target: FieldGrid,
             history.append(best_fitness)
 
     return GAResult(
-        best_config=objective.config_of(incumbent),
+        best_config=expand_groups(incumbent, surface),
         best_field=best_field,
         best_fitness=best_fitness,
         history=tuple(history),
         evaluations=evaluations,
     )
 
-
-EXHAUSTIVE_GUARD = 2 ** 20
-
-
-def exhaustive_search(surface: SurfaceSpec, src: SourceModel,
-                      target: FieldGrid) -> tuple[ConfigMatrix, float]:
-    """Enumerate every group-state assignment in lexicographic order; the first
-    chromosome with the largest computed fitness wins, so configurations that
-    tie in exact arithmetic are ranked by their rounded fitness."""
-    n_states = surface.cell.n_states
-    total = n_states ** surface.n_groups
-    if total > EXHAUSTIVE_GUARD:
-        raise SearchSpaceTooLarge(
-            f"{n_states}^{surface.n_groups} = {total} configurations exceed "
-            f"the {EXHAUSTIVE_GUARD} guard"
-        )
-    objective = _Objective(surface, src, target)
-    best_chromo = None
-    best_fit = -np.inf
-    for genes in itertools.product(range(n_states), repeat=surface.n_groups):
-        chromo = np.array(genes, dtype=np.int64)
-        fit = objective(chromo)
-        if fit > best_fit:
-            best_fit = fit
-            best_chromo = chromo
-    return objective.config_of(best_chromo), float(best_fit)

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracle import exhaustive_search
 from risbench.benchmarks import ideal_target_field, load_benchmark
 from risbench.cli import main as cli_main
 from risbench.control import complexity_report
@@ -24,7 +25,7 @@ from risbench.field import (
     principal_cut,
     steering_config,
 )
-from risbench.ga import GAParams, exhaustive_search, run_ga
+from risbench.ga import GAParams, run_ga
 from risbench.metrics import (
     directivity_error,
     directivity_over_region,

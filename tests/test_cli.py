@@ -127,6 +127,10 @@ BAD_CONFIGS = {
         config_ref=_write(tmp, "cfg.csv", "0,1,0,1,0\n" * 6))),
     "config_ref_empty": ("simulate", lambda doc, tmp: doc.update(
         config_ref=_write(tmp, "cfg.csv", ""))),
+    "output_dir_int": ("optimize", lambda doc, tmp: doc.update(output_dir=5)),
+    "output_dir_null": ("simulate", lambda doc, tmp: doc.update(output_dir=None)),
+    "config_ref_int": ("simulate", lambda doc, tmp: doc.update(config_ref=5)),
+    "config_ref_bool": ("simulate", lambda doc, tmp: doc.update(config_ref=True)),
 }
 
 
@@ -444,9 +448,10 @@ class TestSweepGrouping:
         assert main(["sweep-grouping", "--config", str(cfg_path), "--groups", "1,2,3"]) == 0
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("groups", ["1,x", "0", "1,5"])
+    @pytest.mark.parametrize("groups", ["1,x", "0", "1,5", "1,1"])
     def test_bad_groups_rejected_before_output(self, run_config, groups):
-        # 5 does not divide the 6x6 surface; no group size may start a run.
+        # 5 does not divide the 6x6 surface and 1,1 would run one GA twice;
+        # no group size may start a run.
         cfg_path, tmp = run_config
         assert main(["sweep-grouping", "--config", str(cfg_path), "--groups", groups]) == 2
         assert not (tmp / "cache").exists() and not (tmp / "out").exists()

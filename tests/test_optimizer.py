@@ -5,22 +5,24 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracle import exhaustive_search
 from risbench.benchmarks import ideal_target_field, load_benchmark
-from risbench.errors import NonPositiveParam, SearchSpaceTooLarge
+from risbench.errors import NonPositiveParam
 from risbench.field import FieldEvaluator, FieldGrid, GridSpec, SourceModel, peak_magnitude
 from risbench.ga import (
     SEARCH_REVISION,
     GAParams,
     _Objective,
-    exhaustive_search,
     fitness,
     run_ga,
 )
+from risbench.metrics import nmse
 from risbench.surface import (
     ConfigMatrix,
     ReflectionState,
     UnitCellSpec,
     build_surface,
+    expand_groups,
     load_unit_cell,
 )
 
@@ -128,7 +130,8 @@ class TestFitness:
         rng = np.random.default_rng(group_size)
         for _ in range(4):
             chromo = rng.integers(0, surf.cell.n_states, size=surf.n_groups)
-            assert objective(chromo) == fitness(objective.config_of(chromo), target, surf, src)
+            assert -nmse(target, objective.field(chromo)) == fitness(
+                expand_groups(chromo, surf), target, surf, src)
 
     @pytest.mark.parametrize("src, group_size, grid, back_value", OBJECTIVE_CASES)
     def test_rank_is_within_stated_tolerance_of_public_fitness(self, src, group_size, grid,
@@ -143,7 +146,7 @@ class TestFitness:
         rng = np.random.default_rng(group_size)
         for _ in range(16):
             chromo = rng.integers(0, surf.cell.n_states, size=surf.n_groups)
-            exact = fitness(objective.config_of(chromo), target, surf, src)
+            exact = fitness(expand_groups(chromo, surf), target, surf, src)
             assert objective.rank(chromo) == pytest.approx(exact, rel=RANK_REL_TOL, abs=0.0)
 
 
@@ -322,52 +325,6 @@ class TestGaVsOracle:
 
 
 class TestExhaustiveSearch:
-    @staticmethod
-    def _counting(monkeypatch):
-        import risbench.ga as ga_mod
-
-        calls = []
-        orig = ga_mod._Objective.__call__
-        monkeypatch.setattr(ga_mod._Objective, "__call__",
-                            lambda self, c: calls.append(1) or orig(self, c))
-        return calls
-
-    def test_1x1_evaluates_two_configs(self, monkeypatch):
-        surf, _ = build_surface(one_bit_cell(), 1, 1)
-        target = reachable_target(surf, [[1]])
-        calls = self._counting(monkeypatch)
-        exhaustive_search(surf, PW, target)
-        assert len(calls) == 2
-
-    def test_2x2_evaluates_sixteen(self, monkeypatch):
-        surf, _ = build_surface(one_bit_cell(), 2, 2)
-        target = reachable_target(surf, [[0, 1], [1, 0]])
-        calls = self._counting(monkeypatch)
-        exhaustive_search(surf, PW, target)
-        assert len(calls) == 16
-
-    def test_scores_without_memo(self, monkeypatch):
-        # Every chromosome comes once, so nothing is kept per chromosome: a
-        # repeat after the search is scored again instead of looked up.
-        import risbench.ga as ga_mod
-
-        made = []
-        monkeypatch.setattr(ga_mod, "_Objective",
-                            lambda *a, **kw: made.append(_Objective(*a, **kw)) or made[-1])
-        surf, _ = build_surface(one_bit_cell(), 2, 2)
-        target = reachable_target(surf, [[0, 1], [1, 0]])
-        exhaustive_search(surf, PW, target)
-        (objective,) = made
-        assert objective.evaluations == 16
-        objective(np.zeros(4, dtype=np.int64))
-        assert objective.evaluations == 17
-
-    def test_guard_rejects_large_spaces(self):
-        surf, _ = build_surface(one_bit_cell(), 40, 40)
-        target = reachable_target(surf, np.zeros((40, 40), dtype=int))
-        with pytest.raises(SearchSpaceTooLarge):
-            exhaustive_search(surf, PW, target)
-
     def test_tie_break_is_lexicographic(self):
         # With ideal 1-bit states, complementing every cell flips the field's
         # sign, so fitness ties pairwise; the all-complement of the winner
