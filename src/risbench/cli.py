@@ -43,9 +43,10 @@ def _optional(rule):
 
 
 def _string(value) -> str:
-    """A path, id or name; ``Path()`` would raise TypeError on a number."""
-    if not isinstance(value, str):
-        raise ValueError(f"expected a string, got {value!r}")
+    """A path, id or name; ``Path()`` would raise TypeError on a number, and
+    ``Path("")`` is the working directory."""
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"expected a non-empty string, got {value!r}")
     return value
 
 

@@ -30,7 +30,11 @@ configuration on one build are identical.  ``front``'s precision follows
 its tables: they are float64 as built, so ``field`` and every artifact are
 float64, and ``FieldEvaluator.astype(np.float32)`` gives the same kernel
 in float32, which the GA ranks with; its fields agree with float64's to
-about 2.5e-7 of the peak.
+about 2.5e-7 of the peak.  ``front`` takes the GEMM and the reduction over
+rows one block of directions at a time, each block's GEMM output within
+2 MiB, so one call's temporaries stay near 2.5 MB at 40x40 on the 1 deg grid
+(12.8 MB in one piece).  The float32 result does not depend on the blocks;
+the float64 result moves with the block width by about 1e-21 of the peak.
 
 Each grid rule the other modules apply lives here once: the front rows
 (``GridSpec.front_rows``), azimuth distance (``phi_distance``), the lobe
@@ -270,6 +274,15 @@ def _steer(kr: np.ndarray, cosines: np.ndarray) -> np.ndarray:
     return out
 
 
+# FieldEvaluator.front takes its GEMM one block of directions at a time: a
+# whole number of _GRANULE directions, as many as keep the block's GEMM
+# output within _BLOCK_BYTES, and never fewer than one granule.  Blocks of 1,
+# 7 or 100 directions changed float32 bits under OpenBLAS; whole granules
+# give the bits of one unblocked GEMM.
+_BLOCK_BYTES = 2 << 20
+_GRANULE = 512
+
+
 def state_coefficients(surface: SurfaceSpec) -> np.ndarray:
     """Complex reflection coefficient per diode state (degrees -> radians here)."""
     mags = np.array([s.gamma_mag for s in surface.cell.states])
@@ -365,11 +378,25 @@ class FieldEvaluator:
         # With s the column sums and d the differences, the n-sum is s.cos +
         # j d.sin at u and s.cos - j d.sin at -u.  One batched GEMM takes Re and
         # Im of s against x's cos table (batch 0) and of j d against its sin table.
-        parts = np.concatenate([folded.real, folded.imag]).astype(self._flips.dtype, copy=False)
-        p = parts.reshape(parts.shape[0], 2, -1).transpose(1, 0, 2) @ self._steer_x
-        # (re + j im) (cos + j sin) summed over m, at v and at -v: row sums
-        # against y's cos table, row differences against its sin table.
-        sums = np.einsum("cabml,bml->cbal", p.reshape(2, 2, *self._steer_y.shape), self._steer_y)
+        dtype = self._flips.dtype
+        parts = np.concatenate([folded.real, folded.imag]).astype(dtype, copy=False)
+        parts = parts.reshape(parts.shape[0], 2, -1).transpose(1, 0, 2)
+        # The GEMM output over every direction would be the call's largest
+        # temporary, so it is taken one block of directions at a time.
+        n_dir = self._steer_x.shape[-1]
+        per_direction = parts[..., 0].nbytes  # of GEMM output
+        block = _GRANULE * max(1, _BLOCK_BYTES // (_GRANULE * per_direction))
+        sums = np.empty((2, 2, 2, n_dir), dtype)
+        for lo in range(0, n_dir, block):
+            steer_y = self._steer_y[..., lo:lo + block]
+            # (re + j im) (cos + j sin) summed over m, at v and at -v: row sums
+            # against y's cos table, row differences against its sin table.
+            # The GEMM output is not named, so it is freed before the next
+            # block's is allocated.
+            sums[..., lo:lo + block] = np.einsum(
+                "cabml,bml->cbal",
+                (parts @ self._steer_x[..., lo:lo + block]).reshape(2, 2, *steer_y.shape),
+                steer_y)
         flips = sums.reshape(8, -1).T @ self._flips
         flips = flips.view(np.result_type(flips.dtype, 1j))  # (Lq, 4 flips)
         return flips.reshape(self.grid.front_rows, -1)[:, self._columns].ravel()

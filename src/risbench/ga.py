@@ -40,7 +40,8 @@ from .surface import ConfigMatrix, SurfaceSpec, expand_groups
 #   1: float64 ranking (every entry written before the revision was keyed)
 #   2: float32 ranking, float64 report
 #   3: angle-addition steering tables
-SEARCH_REVISION = 3
+#   4: far-field kernel in direction blocks
+SEARCH_REVISION = 4
 
 
 @dataclass(frozen=True)

@@ -131,6 +131,8 @@ BAD_CONFIGS = {
     "output_dir_null": ("simulate", lambda doc, tmp: doc.update(output_dir=None)),
     "config_ref_int": ("simulate", lambda doc, tmp: doc.update(config_ref=5)),
     "config_ref_bool": ("simulate", lambda doc, tmp: doc.update(config_ref=True)),
+    "config_ref_empty_string": ("simulate", lambda doc, tmp: doc.update(config_ref="")),
+    "output_dir_empty_string": ("simulate", lambda doc, tmp: doc.update(output_dir="")),
 }
 
 
