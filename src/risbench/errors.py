@@ -75,7 +75,7 @@ class ConfigMismatch(ConfigError):
 # -- field engine ------------------------------------------------------------
 
 class SourceBelowSurface(ConfigError):
-    """Point source placed at z <= 0."""
+    """Point source placed at z <= 0, or planewave incidence outside 0 <= theta < 90."""
 
 
 class GridMissingPlane(DomainError):

@@ -89,6 +89,9 @@ class SourceModel:
                 raise SourceBelowSurface(
                     f"point source must sit above the surface, got z = {self.position_m[2]}"
                 )
+        elif not 0.0 <= self.incidence_deg[0] < 90.0:
+            raise SourceBelowSurface(f"planewave must arrive from above the surface, "
+                                     f"0 <= theta < 90, got theta = {self.incidence_deg[0]}")
 
     @staticmethod
     def planewave(amplitude: float = 1.0, theta_inc_deg: float = 0.0,
@@ -412,12 +415,8 @@ class FieldEvaluator:
     def field(self, config: ConfigMatrix) -> FieldGrid:
         """Complex far-field of one configuration."""
         validate_config(self.surface, config)
-        return self.grid_of(self.front(config.states))
-
-    def grid_of(self, front: np.ndarray) -> FieldGrid:
-        """The full-grid field of a ``front`` result, zero behind the surface."""
-        values = np.zeros(self.grid.n_points, dtype=complex)
-        values[: self.front_size] = front
+        values = np.zeros(self.grid.n_points, dtype=complex)  # zero behind the surface
+        values[: self.front_size] = self.front(config.states)
         return FieldGrid(values=values.reshape(self.grid.shape), grid=self.grid)
 
 

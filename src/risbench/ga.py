@@ -11,11 +11,12 @@ generation, keeps that score, so no record outlives one generation.
 
 The search ranks in float32 and reports in float64.  Every chromosome is
 ranked by a float32 score; each generation's float32 winner is then scored
-exactly in float64 and becomes the incumbent only if that score beats the
-incumbent's.  So ``best_fitness`` equals ``-nmse(target,
-field(best_config))`` bit for bit, ``best_field`` is ``field(best_config)``,
-each ``history`` entry is the exact fitness of that generation's incumbent,
-and ``history`` never decreases.  ``fitness`` scores in float64 only.
+through ``FieldEvaluator.field``, the path ``fitness`` takes, and becomes
+the incumbent only if that score beats the incumbent's.  So
+``best_fitness`` equals ``-nmse(target, field(best_config))`` bit for bit,
+``best_field`` is ``field(best_config)``, each ``history`` entry is the
+exact fitness of that generation's incumbent, and ``history`` never
+decreases.  ``fitness`` scores in float64 only.
 
 ``run_ga`` may score each batch of chromosomes on several threads; the
 ranking is a pure function of the chromosome and the scores go back in
@@ -85,15 +86,13 @@ class GAResult:
 
 
 class _Objective:
-    """Fitness of a group-state chromosome, in two precisions.
+    """Search score of a group-state chromosome.
 
-    ``field`` is the float64 field of ``evaluator.front``, so ``-nmse(target,
-    objective.field(chromosome))`` is the exact fitness, bit for bit that of
-    ``evaluator.field(config)``.  ``rank`` is the search score: the same
-    kernel on float32 tables, summed over the front hemisphere only, plus the
-    target's back-hemisphere energy, a constant since the achieved field is
-    zero there.  It agrees with the exact fitness to about 1e-6 relative,
-    enough to rank chromosomes; no reported value comes from it.
+    ``rank`` is ``evaluator``'s kernel on float32 tables, summed over the
+    front hemisphere only, plus the target's back-hemisphere energy, a
+    constant since the achieved field is zero there.  It agrees with the
+    exact fitness, ``-nmse(target, evaluator.field(config))``, to about 1e-6
+    relative, enough to rank chromosomes; no reported value comes from it.
     """
 
     def __init__(self, surface: SurfaceSpec, src: SourceModel, target: FieldGrid):
@@ -108,10 +107,6 @@ class _Objective:
         self._t_front = t_norm[:front].astype(np.float32)
         self._t_back_energy = float(t_norm[front:] @ t_norm[front:])
 
-    def field(self, chromosome: np.ndarray) -> FieldGrid:
-        """Float64 field of a chromosome, bit for bit ``evaluator.field``'s."""
-        return self.evaluator.grid_of(self.evaluator.front(chromosome[self._group_ids]))
-
     def rank(self, chromosome: np.ndarray) -> float:
         mags = np.abs(self._ranker.front(chromosome[self._group_ids]))
         diff = self._t_front - mags / peak_magnitude(mags)
@@ -123,22 +118,6 @@ def fitness(config: ConfigMatrix, target: FieldGrid, surface: SurfaceSpec,
     """Negated NMSE of the configured surface's field against the target."""
     achieved = FieldEvaluator(surface, src, target.grid).field(config)
     return -nmse(target, achieved)
-
-
-def _rank_rows(rank, rows: np.ndarray) -> list[float]:
-    return [rank(row) for row in rows]
-
-
-def _rank_batch(rank, batch: np.ndarray, pool, threads: int) -> list[float]:
-    """``rank`` of each row of ``batch``, in row order.  The batch is cut into
-    ``threads`` shares; the calling thread ranks the first while ``pool``
-    (``threads - 1`` workers) ranks the others."""
-    first, *rest = np.array_split(batch, threads)
-    futures = [pool.submit(_rank_rows, rank, share) for share in rest if len(share)]
-    scores = _rank_rows(rank, first)
-    for future in futures:
-        scores += future.result()
-    return scores
 
 
 def run_ga(surface: SurfaceSpec, src: SourceModel, target: FieldGrid,
@@ -158,9 +137,17 @@ def run_ga(surface: SurfaceSpec, src: SourceModel, target: FieldGrid,
              if params.mutation_prob_per_gene is not None else 1.0 / n_genes)
 
     with ThreadPoolExecutor(threads - 1) if threads > 1 else nullcontext() as pool:
+        def rank(batch: np.ndarray) -> list[float]:
+            """``objective.rank`` of each row, in row order.  The batch is cut
+            into ``threads`` shares; the calling thread ranks the first while
+            the pool ranks the others."""
+            first, *rest = np.array_split(batch, threads)
+            others = pool.map(lambda share: list(map(objective.rank, share)), rest) if rest else ()
+            return list(map(objective.rank, first)) + [s for share in others for s in share]
+
         rng = np.random.default_rng(params.seed)
         pop = rng.integers(0, n_states, size=(params.population, n_genes), dtype=np.int64)
-        fits = np.array(_rank_batch(objective.rank, pop, pool, threads))
+        fits = np.array(rank(pop))
         evaluations = len(pop)
 
         def tournament() -> int:
@@ -195,7 +182,7 @@ def run_ga(surface: SurfaceSpec, src: SourceModel, target: FieldGrid,
                 if key not in scores:
                     fresh.setdefault(key, child)
             batch = np.array(list(fresh.values()))
-            scores.update(zip(fresh, _rank_batch(objective.rank, batch, pool, threads)))
+            scores.update(zip(fresh, rank(batch)))
             evaluations += len(fresh)
             child_fits = np.array([scores[child.tobytes()] for child in children])
 
@@ -203,14 +190,15 @@ def run_ga(surface: SurfaceSpec, src: SourceModel, target: FieldGrid,
             fits = np.concatenate([fits[elites], child_fits])
             top = pop[int(np.argmax(fits))]
             if checked is None or not np.array_equal(top, checked):
-                checked, field = top, objective.field(top)
+                checked, config = top, expand_groups(top, surface)
+                field = objective.evaluator.field(config)
                 exact = -nmse(target, field)
                 if exact > best_fitness:
-                    incumbent, best_fitness, best_field = top, exact, field
+                    incumbent, best_fitness, best_field = config, exact, field
             history.append(best_fitness)
 
     return GAResult(
-        best_config=expand_groups(incumbent, surface),
+        best_config=incumbent,
         best_field=best_field,
         best_fitness=best_fitness,
         history=tuple(history),

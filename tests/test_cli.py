@@ -78,6 +78,10 @@ BAD_CONFIGS = {
     "source_not_object": ("simulate", lambda doc, tmp: doc.update(source="planewave")),
     "incidence_three_angles": (
         "simulate", lambda doc, tmp: doc["source"].update(incidence_deg=[9, 0, 0])),
+    "incidence_grazing": (
+        "optimize", lambda doc, tmp: doc["source"].update(incidence_deg=[90, 0])),
+    "incidence_behind": (
+        "simulate", lambda doc, tmp: doc["source"].update(incidence_deg=[120, 0])),
     "population_not_int": ("simulate", lambda doc, tmp: doc["ga"].update(population="x")),
     "rows_not_int": ("simulate", lambda doc, tmp: doc.update(rows="abc")),
     "rows_fraction": ("simulate", lambda doc, tmp: doc.update(rows=6.9)),

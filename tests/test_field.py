@@ -188,6 +188,12 @@ class TestPlanewave:
         with pytest.raises(ConfigError):
             SourceModel.planewave(1.0, theta_inc, phi_inc)
 
+    @pytest.mark.parametrize("theta_inc", [90.0, 120.0, -10.0])
+    def test_incidence_must_arrive_from_above(self, theta_inc):
+        # At 90 deg cos(pi/2) is 6e-17, not 0, so the field would be noise.
+        with pytest.raises(SourceBelowSurface):
+            SourceModel.planewave(1.0, theta_inc, 0.0)
+
 
 class TestPointSource:
     def test_single_cell_phase_wraps_to_unity(self):

@@ -16,7 +16,6 @@ from risbench.ga import (
     fitness,
     run_ga,
 )
-from risbench.metrics import nmse
 from risbench.surface import (
     ConfigMatrix,
     ReflectionState,
@@ -127,12 +126,10 @@ class TestFitness:
             values = target.values.copy()
             values[grid.front_rows, 0] = back_value
             target = FieldGrid(values=values, grid=grid)
-        objective = _Objective(surf, src, target)
-        rng = np.random.default_rng(group_size)
-        for _ in range(4):
-            chromo = rng.integers(0, surf.cell.n_states, size=surf.n_groups)
-            assert -nmse(target, objective.field(chromo)) == fitness(
-                expand_groups(chromo, surf), target, surf, src)
+        res = run_ga(surf, src, target, GAParams(population=8, generations=4, seed=group_size))
+        assert res.best_fitness == fitness(res.best_config, target, surf, src)
+        rendered = FieldEvaluator(surf, src, grid).field(res.best_config)
+        assert np.array_equal(res.best_field.values, rendered.values)
 
     @pytest.mark.parametrize("src, group_size, grid, back_value", OBJECTIVE_CASES)
     def test_rank_is_within_stated_tolerance_of_public_fitness(self, src, group_size, grid,
@@ -274,7 +271,8 @@ class TestRunGa:
             assert res.evaluations == base.evaluations
             assert np.array_equal(res.best_field.values, base.best_field.values)
 
-    def test_rank_error_propagates_and_closes_the_pool(self, monkeypatch):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_rank_error_propagates_and_closes_the_pool(self, monkeypatch, threads):
         import risbench.ga as ga_mod
 
         calls = []
@@ -292,7 +290,7 @@ class TestRunGa:
         before = threading.active_count()
         with pytest.raises(FloatingPointError, match="fifth"):
             run_ga(surf, PW, target, GAParams(population=10, generations=4, seed=1),
-                   threads=2)
+                   threads=threads)
         assert threading.active_count() == before
 
     def test_threads_below_one_rejected(self):
