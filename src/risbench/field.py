@@ -33,8 +33,15 @@ in float32, which the GA ranks with; its fields agree with float64's to
 about 2.5e-7 of the peak.  ``front`` takes the GEMM and the reduction over
 rows one block of directions at a time, each block's GEMM output within
 2 MiB, so one call's temporaries stay near 2.5 MB at 40x40 on the 1 deg grid
-(12.8 MB in one piece).  The float32 result does not depend on the blocks;
-the float64 result moves with the block width by about 1e-21 of the peak.
+(12.8 MB in one piece).  On OpenBLAS's SkylakeX kernels, where this was
+measured, the float32 result does not depend on the blocks and the float64
+result moves with the block width by about 1e-21 of the peak; on its Haswell
+and Zen kernels the float32 bits move with the block width as well.
+``front`` also takes a (B, M, N) stack of configurations, which shares one
+fold, one GEMM per direction block and one column gather; ``stack_size``
+says how many the GA ranks per call.  A configuration's field does not
+depend on its stack on the SkylakeX kernels, and moves by about 1.5e-7 of
+the peak in float32 on the Haswell kernels.
 
 Each grid rule the other modules apply lives here once: the front rows
 (``GridSpec.front_rows``), azimuth distance (``phi_distance``), the lobe
@@ -280,8 +287,8 @@ def _steer(kr: np.ndarray, cosines: np.ndarray) -> np.ndarray:
 # FieldEvaluator.front takes its GEMM one block of directions at a time: a
 # whole number of _GRANULE directions, as many as keep the block's GEMM
 # output within _BLOCK_BYTES, and never fewer than one granule.  Blocks of 1,
-# 7 or 100 directions changed float32 bits under OpenBLAS; whole granules
-# give the bits of one unblocked GEMM.
+# 7 or 100 directions changed float32 bits under OpenBLAS; on its SkylakeX
+# kernels whole granules give the bits of one unblocked GEMM.
 _BLOCK_BYTES = 2 << 20
 _GRANULE = 512
 
@@ -373,23 +380,28 @@ class FieldEvaluator:
     def front(self, states: np.ndarray) -> np.ndarray:
         """Complex field over the front hemisphere, flattened theta-major.
 
-        ``states`` is an (M, N) array of valid state indices; it is not
-        checked here, so callers validate untrusted input first.
+        ``states`` is an (M, N) array of valid state indices, or a (B, M, N)
+        stack of them, which gives (B, front_size): one fold, one GEMM per
+        direction block and one column gather serve the whole stack.  They
+        are not checked here, so callers validate untrusted input first.
         """
-        w = self._state_coeffs[states] * self._cell_factor
+        stack = states.reshape(-1, *states.shape[-2:])
+        w = self._state_coeffs[stack] * self._cell_factor
         folded = self._fold_rows @ w @ self._fold_cols
         # With s the column sums and d the differences, the n-sum is s.cos +
         # j d.sin at u and s.cos - j d.sin at -u.  One batched GEMM takes Re and
-        # Im of s against x's cos table (batch 0) and of j d against its sin table.
+        # Im of s against x's cos table (batch 0) and of j d against its sin
+        # table, the stack's configurations one after another in its rows.
         dtype = self._flips.dtype
-        parts = np.concatenate([folded.real, folded.imag]).astype(dtype, copy=False)
-        parts = parts.reshape(parts.shape[0], 2, -1).transpose(1, 0, 2)
+        parts = np.concatenate([folded.real, folded.imag], axis=1).astype(dtype, copy=False)
+        n_cfg, rows = parts.shape[:2]
+        parts = parts.reshape(n_cfg, rows, 2, -1).transpose(2, 0, 1, 3).reshape(2, n_cfg * rows, -1)
         # The GEMM output over every direction would be the call's largest
         # temporary, so it is taken one block of directions at a time.
         n_dir = self._steer_x.shape[-1]
         per_direction = parts[..., 0].nbytes  # of GEMM output
         block = _GRANULE * max(1, _BLOCK_BYTES // (_GRANULE * per_direction))
-        sums = np.empty((2, 2, 2, n_dir), dtype)
+        sums = np.empty((n_cfg, 2, 2, 2, n_dir), dtype)
         for lo in range(0, n_dir, block):
             steer_y = self._steer_y[..., lo:lo + block]
             # (re + j im) (cos + j sin) summed over m, at v and at -v: row sums
@@ -397,12 +409,24 @@ class FieldEvaluator:
             # The GEMM output is not named, so it is freed before the next
             # block's is allocated.
             sums[..., lo:lo + block] = np.einsum(
-                "cabml,bml->cbal",
-                (parts @ self._steer_x[..., lo:lo + block]).reshape(2, 2, *steer_y.shape),
+                "cqabml,bml->qcbal",
+                (parts @ self._steer_x[..., lo:lo + block]).reshape(2, n_cfg, 2, *steer_y.shape),
                 steer_y)
-        flips = sums.reshape(8, -1).T @ self._flips
-        flips = flips.view(np.result_type(flips.dtype, 1j))  # (Lq, 4 flips)
-        return flips.reshape(self.grid.front_rows, -1)[:, self._columns].ravel()
+        flips = sums.reshape(n_cfg, 8, -1).transpose(0, 2, 1) @ self._flips
+        flips = flips.view(np.result_type(flips.dtype, 1j))  # (B, Lq, 4 flips)
+        out = flips.reshape(n_cfg, self.grid.front_rows, -1)[:, :, self._columns].reshape(n_cfg, -1)
+        return out if states.ndim == 3 else out[0]
+
+    @property
+    def stack_size(self) -> int:
+        """How many configurations one ``front`` call should take to rank a
+        batch: one when a single configuration's GEMM output over every
+        direction exceeds ``_BLOCK_BYTES``, else as many as one block of
+        ``_GRANULE`` directions holds within it."""
+        per_config = 4 * self._fold_rows.shape[0] * self._flips.itemsize  # GEMM bytes per direction
+        if per_config * self._steer_x.shape[-1] > _BLOCK_BYTES:
+            return 1
+        return max(1, _BLOCK_BYTES // (_GRANULE * per_config))
 
     def astype(self, dtype) -> "FieldEvaluator":
         """This evaluator with its real tables cast to ``dtype``, so that

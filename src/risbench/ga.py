@@ -18,9 +18,13 @@ the incumbent only if that score beats the incumbent's.  So
 exact fitness of that generation's incumbent, and ``history`` never
 decreases.  ``fitness`` scores in float64 only.
 
-``run_ga`` may score each batch of chromosomes on several threads; the
-ranking is a pure function of the chromosome and the scores go back in
-batch order, so the result is bit for bit the same at any thread count.
+``run_ga`` ranks each batch of chromosomes in stacks, one kernel call per
+stack (``FieldEvaluator.stack_size`` chromosomes, the last stack ragged),
+and may share the stacks among several threads.  The stacks are cut in
+batch order before they are shared, so each chromosome is ranked in the
+same stack at any thread count; a stack's scores are a pure function of its
+chromosomes and go back in batch order, so on any BLAS kernel the result
+is bit for bit the same at any thread count.
 """
 
 from __future__ import annotations
@@ -42,7 +46,9 @@ from .surface import ConfigMatrix, SurfaceSpec, expand_groups
 #   2: float32 ranking, float64 report
 #   3: angle-addition steering tables
 #   4: far-field kernel in direction blocks
-SEARCH_REVISION = 4
+#   5: ranking in stacks of chromosomes, one kernel call per stack; a
+#      chromosome's float32 bits may depend on its stack on some BLAS kernels
+SEARCH_REVISION = 5
 
 
 @dataclass(frozen=True)
@@ -86,10 +92,11 @@ class GAResult:
 
 
 class _Objective:
-    """Search score of a group-state chromosome.
+    """Search score of group-state chromosomes.
 
-    ``rank`` is ``evaluator``'s kernel on float32 tables, summed over the
-    front hemisphere only, plus the target's back-hemisphere energy, a
+    ``rank`` scores a (B, n_genes) stack of chromosomes in one call of
+    ``evaluator``'s kernel on float32 tables, summed over the front
+    hemisphere only, plus the target's back-hemisphere energy, a
     constant since the achieved field is zero there.  It agrees with the
     exact fitness, ``-nmse(target, evaluator.field(config))``, to about 1e-6
     relative, enough to rank chromosomes; no reported value comes from it.
@@ -107,10 +114,12 @@ class _Objective:
         self._t_front = t_norm[:front].astype(np.float32)
         self._t_back_energy = float(t_norm[front:] @ t_norm[front:])
 
-    def rank(self, chromosome: np.ndarray) -> float:
-        mags = np.abs(self._ranker.front(chromosome[self._group_ids]))
-        diff = self._t_front - mags / peak_magnitude(mags)
-        return -(float(diff @ diff) + self._t_back_energy) / self.target.grid.n_points
+    def rank(self, chromosomes: np.ndarray) -> np.ndarray:
+        """(B,) float64 scores of a (B, n_genes) stack, one ``front`` call."""
+        mags = np.abs(self._ranker.front(chromosomes[:, self._group_ids]))
+        diff = self._t_front - mags / mags.max(axis=1, keepdims=True)
+        energy = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0].astype(np.float64)
+        return -(energy + self._t_back_energy) / self.target.grid.n_points
 
 
 def fitness(config: ConfigMatrix, target: FieldGrid, surface: SurfaceSpec,
@@ -136,14 +145,16 @@ def run_ga(surface: SurfaceSpec, src: SourceModel, target: FieldGrid,
     p_mut = (params.mutation_prob_per_gene
              if params.mutation_prob_per_gene is not None else 1.0 / n_genes)
 
+    size = objective._ranker.stack_size
     with ThreadPoolExecutor(threads - 1) if threads > 1 else nullcontext() as pool:
         def rank(batch: np.ndarray) -> list[float]:
-            """``objective.rank`` of each row, in row order.  The batch is cut
-            into ``threads`` shares; the calling thread ranks the first while
-            the pool ranks the others."""
-            first, *rest = np.array_split(batch, threads)
-            others = pool.map(lambda share: list(map(objective.rank, share)), rest) if rest else ()
-            return list(map(objective.rank, first)) + [s for share in others for s in share]
+            """The score of each row, in row order.  The batch is cut into
+            stacks of ``size`` rows first, then the calling thread ranks the
+            first ``1 / threads`` of the stacks while the pool ranks the rest."""
+            stacks = [batch[lo:lo + size] for lo in range(0, len(batch), size)]
+            cut = -(-len(stacks) // threads)
+            others = pool.map(objective.rank, stacks[cut:]) if pool else ()
+            return [s for scores in (*map(objective.rank, stacks[:cut]), *others) for s in scores]
 
         rng = np.random.default_rng(params.seed)
         pop = rng.integers(0, n_states, size=(params.population, n_genes), dtype=np.int64)

@@ -369,6 +369,56 @@ class TestDirectionBlocks:
         assert peak < limit_mb * 1e6
 
 
+class TestStacks:
+    """front on a (B, M, N) stack against one configuration at a time."""
+
+    @pytest.mark.parametrize("bound", [1, 1 << 40], ids=["granule_blocks", "one_block"])
+    @pytest.mark.parametrize("rows, cols, src, grid", BLOCK_CASES.values(), ids=BLOCK_CASES)
+    def test_stack_matches_single_configurations(self, monkeypatch, rows, cols, src, grid,
+                                                 bound):
+        import risbench.field as field_mod
+
+        monkeypatch.setattr(field_mod, "_BLOCK_BYTES", bound)
+        ev, _ = random_evaluator(rows, cols, src, grid)
+        stack = np.random.default_rng(rows + cols).integers(
+            0, ev.surface.cell.n_states, size=(7, rows, cols))
+        for dtype in (np.float64, np.float32):
+            cast = ev.astype(dtype)
+            single = np.array([cast.front(states) for states in stack])
+            for size in (1, 2, 6, 7):
+                got = cast.front(stack[:size])
+                assert got.shape == (size, ev.front_size)
+                # the float32 kernel's stated bound, 2.5e-7 of each field's peak
+                err = np.abs(got - single[:size]).max(axis=1)
+                assert np.all(err <= 2.5e-7 * np.abs(single[:size]).max(axis=1))
+            if dtype is np.float64:
+                assert np.array_equal(cast.front(stack[:1])[0], single[0])
+
+    def test_stack_size_follows_the_block_bound(self):
+        # One 1 deg configuration's GEMM output exceeds the bound, so the
+        # 1 deg ranker takes one at a time; six fill a 2 deg granule block.
+        assert random_evaluator(*BLOCK_CASES["40x40_1deg"])[0].astype(np.float32).stack_size == 1
+        ev, _ = random_evaluator(*BLOCK_CASES["40x40_point_2deg"])
+        assert ev.astype(np.float32).stack_size == 6
+        assert ev.stack_size == 1  # float64: 2.7 MB over every direction
+
+    def test_stack_temporaries_are_bounded(self):
+        # One stack of the 40x40 2 deg ranker measures 2.9 MB, against 1.6 MB
+        # for one configuration alone.
+        ev, _ = random_evaluator(*BLOCK_CASES["40x40_point_2deg"])
+        ranker = ev.astype(np.float32)
+        stack = np.random.default_rng(0).integers(0, ev.surface.cell.n_states,
+                                                  size=(ranker.stack_size, 40, 40))
+        ranker.front(stack)
+        tracemalloc.start()
+        try:
+            ranker.front(stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.0 * 1e6
+
+
 class TestPrincipalCut:
     def test_signed_axis_layout(self):
         surf, _ = build_surface(ideal_cell(), 4, 4)

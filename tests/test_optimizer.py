@@ -36,6 +36,7 @@ SEARCH_DIGESTS = {
     2: "1ef1eae8d1b73e2e",  # float32 ranking, float64 report: the same run here
     3: "9e8681150cbc6061",  # angle-addition steering tables
     4: "9e8681150cbc6061",  # direction blocks: this case's 256 directions fit one block
+    5: "9e8681150cbc6061",  # ranking in stacks: the same bits here on OpenBLAS SkylakeX
 }
 
 
@@ -142,10 +143,9 @@ class TestFitness:
             target = FieldGrid(values=values, grid=grid)
         objective = _Objective(surf, src, target)
         rng = np.random.default_rng(group_size)
-        for _ in range(16):
-            chromo = rng.integers(0, surf.cell.n_states, size=surf.n_groups)
-            exact = fitness(expand_groups(chromo, surf), target, surf, src)
-            assert objective.rank(chromo) == pytest.approx(exact, rel=RANK_REL_TOL, abs=0.0)
+        chromos = rng.integers(0, surf.cell.n_states, size=(16, surf.n_groups))
+        exact = [fitness(expand_groups(chromo, surf), target, surf, src) for chromo in chromos]
+        assert objective.rank(chromos) == pytest.approx(exact, rel=RANK_REL_TOL, abs=0.0)
 
 
 class TestRunGa:
@@ -227,10 +227,10 @@ class TestRunGa:
         # The GA ranks in float32; what it reports is float64, exactly.
         import risbench.ga as ga_mod
 
-        calls = []
+        rows = []
         orig = ga_mod._Objective.rank
         monkeypatch.setattr(ga_mod._Objective, "rank",
-                            lambda self, c: calls.append(1) or orig(self, c))
+                            lambda self, c: rows.append(len(c)) or orig(self, c))
         src = SourceModel.point((0.01, -0.02, 0.3))
         surf, _ = build_surface(load_unit_cell("S3"), 8, 8, 2)
         target = ideal_target_field(load_benchmark("B8"), GridSpec(2.0, 2.0))
@@ -240,7 +240,7 @@ class TestRunGa:
         assert all(a <= b for a, b in zip(res.history, res.history[1:]))
         rendered = FieldEvaluator(surf, src, target.grid).field(res.best_config)
         assert np.array_equal(res.best_field.values, rendered.values)
-        assert res.evaluations == len(calls)
+        assert res.evaluations == sum(rows)
 
     @staticmethod
     def search_digest(threads=1):
@@ -269,6 +269,21 @@ class TestRunGa:
             assert res.best_fitness == base.best_fitness
             assert res.history == base.history
             assert res.evaluations == base.evaluations
+            assert np.array_equal(res.best_field.values, base.best_field.values)
+
+    def test_thread_count_leaves_stacked_result_unchanged(self):
+        # The 2 deg ranker of a 40x40 surface takes stacks of 6: 13 rows are
+        # stacks of 6, 6 and 1, which 2 and 3 threads share unevenly.
+        src = SourceModel.point((0.0, -0.2, 0.6))
+        surf, _ = build_surface(load_unit_cell("S3"), 40, 40, 4)
+        target = ideal_target_field(load_benchmark("B8"), GridSpec(2.0, 2.0))
+        assert _Objective(surf, src, target)._ranker.stack_size == 6
+        params = GAParams(population=13, generations=3, seed=5)
+        base, *others = (run_ga(surf, src, target, params, threads=t) for t in (1, 2, 3))
+        for res in others:
+            assert np.array_equal(res.best_config.states, base.best_config.states)
+            assert res.best_fitness == base.best_fitness
+            assert res.history == base.history
             assert np.array_equal(res.best_field.values, base.best_field.values)
 
     @pytest.mark.parametrize("threads", [1, 2])
