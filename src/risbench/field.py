@@ -29,14 +29,17 @@ even M and N, up to 256 x 256), not bit for bit; repeated evaluations of one
 configuration on one build are identical.  ``front``'s precision follows
 its tables: they are float64 as built, so ``field`` and every artifact are
 float64, and ``FieldEvaluator.astype(np.float32)`` gives the same kernel
-in float32, which the GA ranks with; its fields agree with float64's to
-about 2.5e-7 of the peak.  ``front`` takes the GEMM and the reduction over
-rows one block of directions at a time, each block's GEMM output within
-2 MiB, so one call's temporaries stay near 2.5 MB at 40x40 on the 1 deg grid
-(12.8 MB in one piece).  On OpenBLAS's SkylakeX kernels, where this was
-measured, the float32 result does not depend on the blocks and the float64
-result moves with the block width by about 1e-21 of the peak; on its Haswell
-and Zen kernels the float32 bits move with the block width as well.
+in single precision throughout (float32 tables, complex64 weights), which
+the GA ranks with; its fields agree with float64's to about 2.5e-7 of the
+peak (at most 2.7e-7 over random configurations of 40x40 and 80x80
+surfaces on the 1 deg grid and a 40x40 point-source surface on 2 deg).
+``front`` takes the GEMM and the reduction over rows one block of
+directions at a time, each block's GEMM output within 2 MiB, so one call's
+temporaries stay near 2.5 MB at 40x40 on the 1 deg grid (12.8 MB in one
+piece).  On OpenBLAS's SkylakeX kernels, where this was measured, the
+float32 result does not depend on the blocks and the float64 result moves
+with the block width by about 1e-21 of the peak; on its Haswell and Zen
+kernels the float32 bits move with the block width as well.
 ``front`` also takes a (B, M, N) stack of configurations, which shares one
 fold, one GEMM per direction block and one column gather; ``stack_size``
 says how many the GA ranks per call.  A configuration's field does not
@@ -392,8 +395,7 @@ class FieldEvaluator:
         # j d.sin at u and s.cos - j d.sin at -u.  One batched GEMM takes Re and
         # Im of s against x's cos table (batch 0) and of j d against its sin
         # table, the stack's configurations one after another in its rows.
-        dtype = self._flips.dtype
-        parts = np.concatenate([folded.real, folded.imag], axis=1).astype(dtype, copy=False)
+        parts = np.concatenate([folded.real, folded.imag], axis=1)  # in the tables' precision
         n_cfg, rows = parts.shape[:2]
         parts = parts.reshape(n_cfg, rows, 2, -1).transpose(2, 0, 1, 3).reshape(2, n_cfg * rows, -1)
         # The GEMM output over every direction would be the call's largest
@@ -401,7 +403,7 @@ class FieldEvaluator:
         n_dir = self._steer_x.shape[-1]
         per_direction = parts[..., 0].nbytes  # of GEMM output
         block = _GRANULE * max(1, _BLOCK_BYTES // (_GRANULE * per_direction))
-        sums = np.empty((n_cfg, 2, 2, 2, n_dir), dtype)
+        sums = np.empty((n_cfg, 2, 2, 2, n_dir), parts.dtype)
         for lo in range(0, n_dir, block):
             steer_y = self._steer_y[..., lo:lo + block]
             # (re + j im) (cos + j sin) summed over m, at v and at -v: row sums
@@ -429,11 +431,15 @@ class FieldEvaluator:
         return max(1, _BLOCK_BYTES // (_GRANULE * per_config))
 
     def astype(self, dtype) -> "FieldEvaluator":
-        """This evaluator with its real tables cast to ``dtype``, so that
-        ``front`` computes in that precision; ``field`` wants float64."""
+        """This evaluator with its real tables cast to ``dtype`` and its
+        weight tables to the matching complex type, so that ``front``
+        computes in that precision throughout; ``field`` wants float64."""
         cast = copy.copy(self)
         for name in ("_steer_x", "_steer_y", "_flips"):
             setattr(cast, name, getattr(self, name).astype(dtype))
+        complex_dtype = np.result_type(dtype, np.complex64)
+        for name in ("_state_coeffs", "_cell_factor", "_fold_rows", "_fold_cols"):
+            setattr(cast, name, getattr(self, name).astype(complex_dtype))
         return cast
 
     def field(self, config: ConfigMatrix) -> FieldGrid:

@@ -8,11 +8,16 @@ seeded generator consumed in a fixed order, so a seed pins the entire run.
 Each generation is bred in full and then scored: a child equal to a member
 of the current population, or to a child already scored in the same
 generation, keeps that score, so no record outlives one generation.
+Breeding takes a handful of whole-array draws per generation, not a few
+per child (``_breed``), and a chromosome is held in the smallest unsigned
+type that holds every state index (``uint8`` for every bundled cell), so
+the byte keys that find a repeated child are one byte per gene.
 
-The search ranks in float32 and reports in float64.  Every chromosome is
-ranked by a float32 score; each generation's float32 winner is then scored
-through ``FieldEvaluator.field``, the path ``fitness`` takes, and becomes
-the incumbent only if that score beats the incumbent's.  So
+The search ranks in single precision (float32 tables, complex64 weights)
+and reports in float64.  Every chromosome is ranked by a float32 score;
+each generation's float32 winner is then scored through
+``FieldEvaluator.field``, the path ``fitness`` takes, and becomes the
+incumbent only if that score beats the incumbent's.  So
 ``best_fitness`` equals ``-nmse(target, field(best_config))`` bit for bit,
 ``best_field`` is ``field(best_config)``, each ``history`` entry is the
 exact fitness of that generation's incumbent, and ``history`` never
@@ -48,7 +53,9 @@ from .surface import ConfigMatrix, SurfaceSpec, expand_groups
 #   4: far-field kernel in direction blocks
 #   5: ranking in stacks of chromosomes, one kernel call per stack; a
 #      chromosome's float32 bits may depend on its stack on some BLAS kernels
-SEARCH_REVISION = 5
+#   6: each generation bred in whole-array draws (a new random stream), on
+#      chromosomes of the smallest unsigned type; complex64 ranker weights
+SEARCH_REVISION = 6
 
 
 @dataclass(frozen=True)
@@ -72,8 +79,10 @@ class GAParams:
             raise NonPositiveParam(
                 f"elitism must lie in [0, population), got {self.elitism}"
             )
-        if self.tournament_size < 1:
-            raise NonPositiveParam("tournament size must be >= 1")
+        # breeding draws children x 2 x tournament_size entrants at once
+        if not 1 <= self.tournament_size <= self.population:
+            raise NonPositiveParam(f"tournament_size must lie in [1, population], "
+                                   f"got {self.tournament_size}")
         if self.seed < 0:
             raise NonPositiveParam(f"seed must be >= 0, got {self.seed}")
         for name, p in (("crossover_prob", self.crossover_prob),
@@ -95,7 +104,7 @@ class _Objective:
     """Search score of group-state chromosomes.
 
     ``rank`` scores a (B, n_genes) stack of chromosomes in one call of
-    ``evaluator``'s kernel on float32 tables, summed over the front
+    ``evaluator``'s kernel in single precision, summed over the front
     hemisphere only, plus the target's back-hemisphere energy, a
     constant since the achieved field is zero there.  It agrees with the
     exact fitness, ``-nmse(target, evaluator.field(config))``, to about 1e-6
@@ -120,6 +129,31 @@ class _Objective:
         diff = self._t_front - mags / mags.max(axis=1, keepdims=True)
         energy = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0].astype(np.float64)
         return -(energy + self._t_back_energy) / self.target.grid.n_points
+
+
+def _breed(rng: np.random.Generator, pop: np.ndarray, fits: np.ndarray, params: GAParams,
+           p_mut: float, n_states: int) -> np.ndarray:
+    """One generation's ``population - elitism`` children, of ``pop``'s dtype.
+
+    Each draw covers the whole generation.  Two tournaments per child, each
+    won by the first of its fittest entrants.  A child takes each gene from
+    its first parent where a fair coin says so or when it does not cross
+    over, else from its second.  Then each gene mutates to a uniform state
+    with probability ``p_mut``: the mutated genes are drawn as a
+    Binomial(genes, p_mut) count of distinct positions, the same law as one
+    coin per gene but without a random number per gene.
+    """
+    n_children, n_genes = params.population - params.elitism, pop.shape[1]
+    entrants = rng.integers(0, params.population, size=(n_children, 2, params.tournament_size))
+    winners = np.argmax(fits[entrants], axis=2)[..., None]
+    parents = np.take_along_axis(entrants, winners, axis=2)[..., 0]
+    cross = rng.random(n_children) < params.crossover_prob
+    first = rng.integers(0, 2, size=(n_children, n_genes), dtype=bool) | ~cross[:, None]
+    a, b = pop[parents[:, 0]], pop[parents[:, 1]]
+    children = b ^ ((a ^ b) * first)  # np.where(first, a, b) without its branches
+    mutated = rng.choice(children.size, size=rng.binomial(children.size, p_mut), replace=False)
+    children.flat[mutated] = rng.integers(0, n_states, size=mutated.size, dtype=pop.dtype)
+    return children
 
 
 def fitness(config: ConfigMatrix, target: FieldGrid, surface: SurfaceSpec,
@@ -157,13 +191,12 @@ def run_ga(surface: SurfaceSpec, src: SourceModel, target: FieldGrid,
             return [s for scores in (*map(objective.rank, stacks[:cut]), *others) for s in scores]
 
         rng = np.random.default_rng(params.seed)
-        pop = rng.integers(0, n_states, size=(params.population, n_genes), dtype=np.int64)
+        # The smallest unsigned type that holds every state, so the dedup
+        # keys below are short; expand_groups casts to int64.
+        pop = rng.integers(0, n_states, size=(params.population, n_genes))
+        pop = pop.astype(np.min_scalar_type(n_states - 1))
         fits = np.array(rank(pop))
         evaluations = len(pop)
-
-        def tournament() -> int:
-            idx = rng.integers(0, params.population, size=params.tournament_size)
-            return int(idx[np.argmax(fits[idx])])
 
         # The incumbent is the best chromosome by exact fitness among the
         # generations' float32 winners; only it is reported.  A winner that
@@ -172,17 +205,7 @@ def run_ga(surface: SurfaceSpec, src: SourceModel, target: FieldGrid,
         history = []
         for _ in range(params.generations):
             elites = np.argsort(-fits, kind="stable")[: params.elitism]
-            children = np.empty((params.population - params.elitism, n_genes), dtype=np.int64)
-            for child in children:
-                parents = (tournament(), tournament())
-                if rng.random() < params.crossover_prob:
-                    mask = rng.random(n_genes) < 0.5
-                    child[:] = np.where(mask, pop[parents[0]], pop[parents[1]])
-                else:
-                    child[:] = pop[parents[0]]
-                mut = rng.random(n_genes) < p_mut
-                if mut.any():
-                    child[mut] = rng.integers(0, n_states, size=int(mut.sum()))
+            children = _breed(rng, pop, fits, params, p_mut, n_states)
             # scoring draws nothing, so it follows breeding; the objective is
             # pure, so a chromosome already in the population or already
             # bred this generation keeps one score

@@ -89,6 +89,8 @@ BAD_CONFIGS = {
     "ga.generations_fraction": ("simulate", lambda doc, tmp: doc["ga"].update(generations=2.5)),
     "ga.seed_bool": ("simulate", lambda doc, tmp: doc["ga"].update(seed=True)),
     "ga.seed_negative": ("optimize", lambda doc, tmp: doc["ga"].update(seed=-1)),
+    "ga.tournament_size_above_population": (
+        "optimize", lambda doc, tmp: doc["ga"].update(tournament_size=100_000_000)),
     "control.pins_k_fraction": ("simulate", lambda doc, tmp: doc.update(control={"pins_k": 8.5})),
     "grid.theta_step_bool": (
         "simulate", lambda doc, tmp: doc["grid"].update(theta_step_deg=True)),

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import threading
 import tracemalloc
 
@@ -12,6 +13,7 @@ from risbench.field import FieldEvaluator, FieldGrid, GridSpec, SourceModel, pea
 from risbench.ga import (
     SEARCH_REVISION,
     GAParams,
+    _breed,
     _Objective,
     fitness,
     run_ga,
@@ -37,6 +39,7 @@ SEARCH_DIGESTS = {
     3: "9e8681150cbc6061",  # angle-addition steering tables
     4: "9e8681150cbc6061",  # direction blocks: this case's 256 directions fit one block
     5: "9e8681150cbc6061",  # ranking in stacks: the same bits here on OpenBLAS SkylakeX
+    6: "b51ee30055f44208",  # whole-array breeding draws, compact genes, complex64 ranker weights
 }
 
 
@@ -72,6 +75,12 @@ class TestGAParams:
     def test_elitism_below_population(self):
         with pytest.raises(NonPositiveParam):
             GAParams(population=4, elitism=4)
+
+    @pytest.mark.parametrize("size", [0, 5, 100_000_000])
+    def test_tournament_size_within_population(self, size):
+        with pytest.raises(NonPositiveParam, match="tournament_size"):
+            GAParams(population=4, tournament_size=size)
+        GAParams(population=4, tournament_size=4)
 
 
 OBJECTIVE_CASES = [
@@ -222,6 +231,43 @@ class TestRunGa:
         params = GAParams(population=8, generations=5, crossover_prob=0.0,
                           mutation_prob_per_gene=0.0, seed=4)
         assert run_ga(surf, PW, target, params).evaluations == 8
+
+    def test_without_crossover_or_mutation_each_child_is_a_parent(self):
+        rng = np.random.default_rng(6)
+        pop = rng.integers(0, 4, size=(8, 30)).astype(np.uint8)
+        fits = rng.random(8)
+        params = GAParams(population=8, crossover_prob=0.0, mutation_prob_per_gene=0.0)
+        children = _breed(rng, pop, fits, params, 0.0, 4)
+        assert children.shape == (6, 30) and children.dtype == np.uint8
+        assert all((pop == child).all(axis=1).any() for child in children)
+
+    def test_generation_with_nothing_new_ranks_nothing(self, monkeypatch):
+        # A 1x1 1-bit surface has two chromosomes, both in the initial
+        # population, so no child is ever ranked.
+        import risbench.ga as ga_mod
+
+        rows = []
+        orig = ga_mod._Objective.rank
+        monkeypatch.setattr(ga_mod._Objective, "rank",
+                            lambda self, c: rows.append(len(c)) or orig(self, c))
+        surf, _ = build_surface(one_bit_cell(), 1, 1)
+        target = reachable_target(surf, [[1]])
+        res = run_ga(surf, PW, target, GAParams(population=20, generations=10, seed=2))
+        assert res.evaluations == 20
+        assert sum(rows) == 20 and 0 not in rows
+
+    def test_genes_hold_every_state_of_a_9_bit_cell(self, tmp_path):
+        # Only states 256..511 reflect fully, so the best configuration holds
+        # states that do not fit one byte.
+        states = [{"mag": 0.01 if i < 256 else 1.0, "phase_deg": 0.0} for i in range(512)]
+        doc = {"id": "S9", "n_bits": 9, "n_diodes": 9, "states": states, "q": 1.0,
+               "width_mm": 15.0, "height_mm": 15.0, "freq_ghz": 10.0}
+        (tmp_path / "cell.json").write_text(json.dumps(doc))
+        surf, _ = build_surface(load_unit_cell(tmp_path / "cell.json"), 1, 2)
+        target = reachable_target(surf, [[511, 300]])
+        res = run_ga(surf, PW, target, GAParams(population=20, generations=5, seed=1))
+        assert res.best_config.states.dtype == np.int64
+        assert res.best_config.states.min() > 255
 
     def test_report_is_exact_and_evaluations_count_rank_calls(self, monkeypatch):
         # The GA ranks in float32; what it reports is float64, exactly.
