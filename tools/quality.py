@@ -20,7 +20,7 @@ over the parent's, the mean over cells of the difference of mean log NMSE
 with its standard error, and the in-lobe peak counts.  The gate applies
 only when both sides ran at least ``GATE_SEEDS`` seeds per cell.  The
 document is printed to stdout as well.  One side of the gated table (8
-benchmarks x 2 sources x 30 seeds at 100 x 88) takes 20-27 minutes on two
+benchmarks x 2 sources x 30 seeds at 100 x 88) takes 12-27 minutes on two
 cores; it is run by hand, not in CI, which runs it at a tiny budget only to
 keep it runnable.
 """
@@ -158,6 +158,12 @@ def main(argv=None) -> int:
     p.add_argument("--generations", type=int, default=88)
     args = p.parse_args(argv)
     threads = _usable_cores()
+    doc = json.loads(args.out.read_text()) if args.out.is_file() else {"sides": {}}
+    settings = {"surface": "S0 40x40", "grid_step_deg": STEP_DEG,
+                "population": POPULATION, "generations": args.generations}
+    for label, side in doc["sides"].items():
+        if label != args.label and side["settings"] != settings:
+            sys.exit(f"{args.out}: side {label!r} ran other settings: {side['settings']}")
 
     runs = []
     for bm_id in args.benchmarks.split(","):
@@ -166,12 +172,6 @@ def main(argv=None) -> int:
                 runs.append(one_run(bm_id, source, seed, args.generations, threads))
                 print(json.dumps(runs[-1]), file=sys.stderr, flush=True)
 
-    doc = json.loads(args.out.read_text()) if args.out.is_file() else {"sides": {}}
-    settings = {"surface": "S0 40x40", "grid_step_deg": STEP_DEG,
-                "population": POPULATION, "generations": args.generations}
-    for label, side in doc["sides"].items():
-        if label != args.label and side["settings"] != settings:
-            sys.exit(f"{args.out}: side {label!r} ran other settings: {side['settings']}")
     doc["sides"][args.label] = {
         "search_revision": risbench.ga.SEARCH_REVISION, "settings": settings,
         "threads": threads, "summary": summarize(runs), "runs": runs}
