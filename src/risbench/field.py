@@ -480,14 +480,21 @@ def steering_config(surface: SurfaceSpec, theta_deg: float, phi_deg: float = 0.0
 # -- CSV serialization ---------------------------------------------------------
 #
 # Header `theta_deg,phi_deg,re,im,mag`, one row per grid point, theta-major,
-# 9 significant digits: the bytes of np.savetxt(fmt="%.9g").  A reader takes
-# the rows in any order, but they must hold each point of the full grid
-# exactly once, theta from 0 up to 180 and phi from 0 up to 360 at even steps,
-# each angle within 1e-6 degrees of its point; it places each row by index.
-# The writer prints each theta and phi value once per grid and formats one
-# theta row per %; a row whose re and im are all +0.0 (the back hemisphere)
-# is written from a template with no formatting.  A -0.0 prints as "-0", so
-# a row that holds one is formatted like any other.
+# 9 significant digits: the bytes of np.savetxt(fmt="%.9g") of the rows
+# written.  A field whose back hemisphere (the rows after
+# ``GridSpec.front_rows``) is all +0.0, as every computed field's is, is
+# written as its front rows only; any other field is written in full, as
+# every file before the front-only layout was.  A reader takes the rows in
+# any order.  The theta step is the spacing of the theta values on the
+# phi = 0 column (one theta row: the 180 degree grid), and the rows must
+# hold each point of either the full grid or its front rows exactly once,
+# theta from 0 at even steps and phi from 0 up to 360 at even steps, each
+# angle within 1e-6 degrees of its point; it places each row by index, and
+# the back of a front-only file reads as +0.0.  The writer prints each theta
+# and phi value once per grid and formats one theta row per %; a row whose
+# re and im are all +0.0 is written from a template with no formatting.  A
+# -0.0 prints as "-0", so a row that holds one is formatted like any other,
+# and a -0.0 behind the surface keeps the full layout.
 
 FIELD_CSV_HEADER = "theta_deg,phi_deg,re,im,mag"
 _CSV_ANGLE_TOL_DEG = 1e-6  # how far a field CSV's theta or phi may sit from its grid point
@@ -500,12 +507,15 @@ def write_field_csv(gridval: FieldGrid, path: str | Path) -> None:
     tails = [f",{p},%.9g,%.9g,%.9g\n" for p in phis]
     zero_tails = [f",{p},0,0,0\n" for p in phis]
     zero_rows = ~((values != 0) | np.signbit(values.real) | np.signbit(values.imag)).any(axis=1)
+    front = gridval.grid.front_rows
+    n_rows = front if zero_rows[front:].all() else len(values)
+    values = values[:n_rows]
     table = np.stack([values.real, values.imag, np.abs(values)], axis=-1)  # (theta, phi, 3)
     tmp = path.with_name(path.name + ".tmp")  # readers never see a partial file
     try:
         with open(tmp, "w") as out:
             out.write(FIELD_CSV_HEADER + "\n")
-            for theta, zero, row in zip(gridval.grid.theta_deg().tolist(), zero_rows, table):
+            for theta, zero, row in zip(gridval.grid.theta_deg()[:n_rows].tolist(), zero_rows, table):
                 th = "%.9g" % theta
                 if zero:
                     out.write(th + th.join(zero_tails))
@@ -526,21 +536,30 @@ def read_field_csv(path: str | Path) -> FieldGrid:
         raise IoError(f"malformed field CSV {path}: {exc}") from exc
     if raw.shape[1] != 5:
         raise IoError(f"malformed field CSV {path}: expected 5 columns, got {raw.shape[1]}")
-    # The theta = 0 rows count the phi columns and the phi = 0 rows the theta
-    # rows; then each row must round onto its own point of that grid.
+    # The theta = 0 rows count the phi columns, and the spacing of the theta
+    # values on the phi = 0 column gives the theta step; then the file must
+    # hold the full grid or its front rows, each row on its own point.
     off_grid = IoError(f"field CSV {path} does not hold each point of an even theta 0..180, "
-                       "phi 0..360 grid exactly once")
+                       "phi 0..360 grid, or of its front rows, exactly once")
     on_axis = np.abs(raw[:, :2]) <= _CSV_ANGLE_TOL_DEG
-    n_phi, n_theta = np.count_nonzero(on_axis, axis=0).tolist()
-    if n_theta * n_phi != raw.shape[0]:
+    n_phi = np.count_nonzero(on_axis[:, 0])
+    n_rows, ragged = divmod(raw.shape[0], max(n_phi, 1))
+    thetas = raw[on_axis[:, 1], 0]  # the phi = 0 column
+    spacing = thetas.max() / (thetas.size - 1) if thetas.size > 1 else 180.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        n_theta = float(np.rint(180.0 / spacing))
+    # n_rows front rows belong to a grid of 2 n_rows - 2 or 2 n_rows - 1 theta rows.
+    if n_phi == 0 or ragged or not 1 <= n_theta <= 2 * n_rows - 1:
         raise off_grid
     grid = GridSpec(theta_step_deg=180.0 / n_theta, phi_step_deg=360.0 / n_phi)
-    i = _grid_index(raw[:, 0], grid.theta_step_deg, n_theta)
+    if n_rows not in (grid.shape[0], grid.front_rows):
+        raise off_grid
+    i = _grid_index(raw[:, 0], grid.theta_step_deg, n_rows)
     j = _grid_index(raw[:, 1], grid.phi_step_deg, n_phi)
     index = None if i is None or j is None else i * n_phi + j
-    if index is None or np.bincount(index, minlength=grid.n_points).max() != 1:
+    if index is None or np.bincount(index, minlength=raw.shape[0]).max() != 1:
         raise off_grid
-    values = np.empty(grid.n_points, dtype=complex)
+    values = np.zeros(grid.n_points, dtype=complex)  # +0.0 behind a front-only file
     values[index] = raw[:, 2] + 1j * raw[:, 3]
     return FieldGrid(values=values.reshape(grid.shape), grid=grid)
 

@@ -11,7 +11,8 @@ generation, keeps that score, so no record outlives one generation.
 Breeding takes a handful of whole-array draws per generation, not a few
 per child (``_breed``), and a chromosome is held in the smallest unsigned
 type that holds every state index (``uint8`` for every bundled cell), so
-the byte keys that find a repeated child are one byte per gene.
+the byte keys that find a repeated child are one byte per gene.  Each
+row's key is taken once, when the row is bred, and kept beside it.
 
 The search ranks in single precision (float32 tables, complex64 weights)
 and reports in float64.  Every chromosome is ranked by a float32 score;
@@ -196,6 +197,7 @@ def run_ga(surface: SurfaceSpec, src: SourceModel, target: FieldGrid,
         pop = rng.integers(0, n_states, size=(params.population, n_genes))
         pop = pop.astype(np.min_scalar_type(n_states - 1))
         fits = np.array(rank(pop))
+        keys = [ind.tobytes() for ind in pop]  # each row's dedup key, beside it
         evaluations = len(pop)
 
         # The incumbent is the best chromosome by exact fitness among the
@@ -209,19 +211,20 @@ def run_ga(surface: SurfaceSpec, src: SourceModel, target: FieldGrid,
             # scoring draws nothing, so it follows breeding; the objective is
             # pure, so a chromosome already in the population or already
             # bred this generation keeps one score
-            scores = {ind.tobytes(): fit for ind, fit in zip(pop, fits)}
+            scores = dict(zip(keys, fits))
+            child_keys = [child.tobytes() for child in children]
             fresh = {}
-            for child in children:
-                key = child.tobytes()
+            for key, child in zip(child_keys, children):
                 if key not in scores:
                     fresh.setdefault(key, child)
             batch = np.array(list(fresh.values()))
             scores.update(zip(fresh, rank(batch)))
             evaluations += len(fresh)
-            child_fits = np.array([scores[child.tobytes()] for child in children])
+            child_fits = np.array([scores[key] for key in child_keys])
 
             pop = np.vstack([pop[elites], children])
             fits = np.concatenate([fits[elites], child_fits])
+            keys = [keys[e] for e in elites] + child_keys
             top = pop[int(np.argmax(fits))]
             if checked is None or not np.array_equal(top, checked):
                 checked, config = top, expand_groups(top, surface)

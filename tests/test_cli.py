@@ -170,7 +170,7 @@ class TestSimulate:
         pattern = tmp / "out" / "pattern.csv"
         ppm = tmp / "out" / "config.ppm"
         assert pattern.is_file() and ppm.is_file()
-        assert len(pattern.read_text().splitlines()) == 64800 + 1
+        assert len(pattern.read_text().splitlines()) == 32760 + 1  # theta 0..90 only
 
     def test_one_bit_image_uses_two_palette_colors(self, run_config, tmp_path):
         cfg = ConfigMatrix(states=np.array([[0, 1], [1, 0]]))

@@ -510,6 +510,15 @@ class TestStateCoefficients:
         np.testing.assert_allclose(coeffs, [1, 1j, -1, -1j], atol=1e-15)
 
 
+def _savetxt_oracle(fg: FieldGrid, path, n_rows: int) -> None:
+    """The first ``n_rows`` theta rows of ``fg`` as np.savetxt writes them."""
+    theta, phi = np.meshgrid(fg.grid.theta_deg()[:n_rows], fg.grid.phi_deg(), indexing="ij")
+    flat = fg.values[:n_rows].ravel()
+    table = np.column_stack([theta.ravel(), phi.ravel(), flat.real, flat.imag, np.abs(flat)])
+    np.savetxt(path, table, fmt="%.9g,%.9g,%.9g,%.9g,%.9g",
+               header="theta_deg,phi_deg,re,im,mag", comments="")
+
+
 class TestFieldCsv:
     def test_round_trip(self, tmp_path):
         surf, _ = build_surface(ideal_cell(), 4, 4)
@@ -552,17 +561,56 @@ class TestFieldCsv:
         fields = [kernel, *(FieldGrid(values=v, grid=odd) for v in (dense, zero_row, neg_re, neg_im))]
         text = []
         for fg in fields:
-            theta, phi = np.meshgrid(fg.grid.theta_deg(), fg.grid.phi_deg(), indexing="ij")
-            flat = fg.values.ravel()
-            table = np.column_stack([theta.ravel(), phi.ravel(), flat.real, flat.imag, np.abs(flat)])
-            np.savetxt(tmp_path / "oracle.csv", table, fmt="%.9g,%.9g,%.9g,%.9g,%.9g",
-                       header="theta_deg,phi_deg,re,im,mag", comments="")
+            # The kernel field's back is all +0.0, so only its front rows are written.
+            rows = fg.grid.front_rows if fg is kernel else fg.grid.shape[0]
+            _savetxt_oracle(fg, tmp_path / "oracle.csv", rows)
             write_field_csv(fg, tmp_path / "pattern.csv")
             text.append((tmp_path / "pattern.csv").read_text())
             assert (tmp_path / "pattern.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
-        assert "\n91,0,0,0,0\n" in text[0] and "\n179,359,0,0,0\n" in text[0]
+        assert "\n91,0," not in text[0] and text[0].splitlines()[-1].startswith("90,359,")
         assert "\n60,0,0,0,0\n60,40,0,0,0\n" in text[2]
         assert "\n60,160,-0,0,0\n" in text[3] and "\n60,320,0,-0,0\n" in text[4]
+
+    def test_full_and_front_only_files_read_the_same(self, tmp_path):
+        # Every file written before the front-only layout holds the full
+        # grid, the bytes of the np.savetxt oracle.
+        surf, _ = build_surface(ideal_cell(), 40, 40)
+        fg = FieldEvaluator(surf, PW, GridSpec(2.0, 2.0)).field(steering_config(surf, 25.0, 10.0))
+        _savetxt_oracle(fg, tmp_path / "full.csv", fg.grid.shape[0])
+        write_field_csv(fg, tmp_path / "front.csv")
+        full = (tmp_path / "full.csv").read_text().splitlines(keepends=True)
+        assert (tmp_path / "front.csv").read_text() == "".join(full[: 1 + 46 * 180])
+        old, new = read_field_csv(tmp_path / "full.csv"), read_field_csv(tmp_path / "front.csv")
+        assert old.grid == new.grid == fg.grid
+        assert old.values.tobytes() == new.values.tobytes()
+
+    @pytest.mark.parametrize("value", [1e-300, complex(-0.0, 0.0), complex(0.0, -0.0)],
+                             ids=["nonzero", "neg_zero_re", "neg_zero_im"])
+    def test_back_not_all_positive_zero_is_written_in_full(self, tmp_path, value):
+        surf, _ = build_surface(ideal_cell(), 8, 8)
+        fg = FieldEvaluator(surf, PW, GridSpec(2.0, 2.0)).field(steering_config(surf, 25.0))
+        values = fg.values.copy()
+        values[-1, 7] = value
+        fg = FieldGrid(values=values, grid=fg.grid)
+        _savetxt_oracle(fg, tmp_path / "oracle.csv", fg.grid.shape[0])
+        write_field_csv(fg, tmp_path / "pattern.csv")
+        assert (tmp_path / "pattern.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+        assert read_field_csv(tmp_path / "pattern.csv").values[-1, 7] == value
+
+    @pytest.mark.parametrize("theta_step", [180 / 7, 180.0, 90.0, 60.0, 45.0])
+    def test_front_only_round_trip(self, tmp_path, theta_step):
+        # Odd and even theta counts; 1 and 2 theta rows are all front rows.
+        grid = GridSpec(theta_step, 40.0)
+        rng = np.random.default_rng(4)
+        values = np.zeros(grid.shape, dtype=complex)
+        front = (grid.front_rows, grid.shape[1])
+        values[: grid.front_rows] = (rng.integers(-999, 999, front)
+                                     + 1j * rng.integers(-999, 999, front)) / 8  # 9 digits hold these
+        write_field_csv(FieldGrid(values=values, grid=grid), tmp_path / "pattern.csv")
+        assert len((tmp_path / "pattern.csv").read_text().splitlines()) == 1 + 9 * grid.front_rows
+        back = read_field_csv(tmp_path / "pattern.csv")
+        assert back.grid == grid
+        assert back.values.tobytes() == values.tobytes()
 
     @pytest.mark.parametrize("kind", ["kernel_2deg", "dense_random"])
     def test_codec_is_a_fixed_point(self, tmp_path, kind):
@@ -589,12 +637,14 @@ class TestFieldCsv:
         fg = FieldEvaluator(surf, PW, GRID).field(uniform_config(surf))
         path = tmp_path / "pattern.csv"
         write_field_csv(fg, path)
-        assert len(path.read_text().splitlines()) == 180 * 360 + 1
+        assert len(path.read_text().splitlines()) == 91 * 360 + 1  # theta 0..90 only
 
     @pytest.mark.parametrize("thetas, phis", [
         (range(0, 90, 2), range(0, 360, 2)),     # theta 0..88: half the grid
         (range(1, 180, 2), range(0, 360, 2)),    # theta axis does not start at 0
         (range(0, 180, 2), [*range(0, 180, 2), *range(180, 360, 4)]),  # uneven phi
+        (range(0, 122, 2), range(0, 360, 2)),    # theta 0..120: more than the front rows
+        ([*range(0, 92, 2), 30], range(0, 360, 2)),  # the front rows, theta 30 twice
     ])
     def test_partial_or_uneven_grid_rejected(self, tmp_path, thetas, phis):
         path = tmp_path / "partial.csv"
