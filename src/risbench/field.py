@@ -543,13 +543,13 @@ def read_field_csv(path: str | Path) -> FieldGrid:
                        "phi 0..360 grid, or of its front rows, exactly once")
     on_axis = np.abs(raw[:, :2]) <= _CSV_ANGLE_TOL_DEG
     n_phi = np.count_nonzero(on_axis[:, 0])
-    n_rows, ragged = divmod(raw.shape[0], max(n_phi, 1))
+    n_rows = raw.shape[0] // max(n_phi, 1)
     thetas = raw[on_axis[:, 1], 0]  # the phi = 0 column
     spacing = thetas.max() / (thetas.size - 1) if thetas.size > 1 else 180.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         n_theta = float(np.rint(180.0 / spacing))
     # n_rows front rows belong to a grid of 2 n_rows - 2 or 2 n_rows - 1 theta rows.
-    if n_phi == 0 or ragged or not 1 <= n_theta <= 2 * n_rows - 1:
+    if n_phi == 0 or not 1 <= n_theta <= 2 * n_rows - 1:
         raise off_grid
     grid = GridSpec(theta_step_deg=180.0 / n_theta, phi_step_deg=360.0 / n_phi)
     if n_rows not in (grid.shape[0], grid.front_rows):

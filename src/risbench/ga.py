@@ -197,7 +197,7 @@ def run_ga(surface: SurfaceSpec, src: SourceModel, target: FieldGrid,
         pop = rng.integers(0, n_states, size=(params.population, n_genes))
         pop = pop.astype(np.min_scalar_type(n_states - 1))
         fits = np.array(rank(pop))
-        keys = [ind.tobytes() for ind in pop]  # each row's dedup key, beside it
+        keys = [ind.tobytes() for ind in pop]
         evaluations = len(pop)
 
         # The incumbent is the best chromosome by exact fitness among the

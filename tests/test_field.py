@@ -597,17 +597,19 @@ class TestFieldCsv:
         assert (tmp_path / "pattern.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
         assert read_field_csv(tmp_path / "pattern.csv").values[-1, 7] == value
 
-    @pytest.mark.parametrize("theta_step", [180 / 7, 180.0, 90.0, 60.0, 45.0])
-    def test_front_only_round_trip(self, tmp_path, theta_step):
+    @pytest.mark.parametrize("theta_step, phi_step", [(180 / 7, 40.0), (180.0, 40.0), (90.0, 40.0),
+                                                      (60.0, 40.0), (45.0, 40.0), (60.0, 360.0)])
+    def test_front_only_round_trip(self, tmp_path, theta_step, phi_step):
         # Odd and even theta counts; 1 and 2 theta rows are all front rows.
-        grid = GridSpec(theta_step, 40.0)
+        grid = GridSpec(theta_step, phi_step)
         rng = np.random.default_rng(4)
         values = np.zeros(grid.shape, dtype=complex)
         front = (grid.front_rows, grid.shape[1])
         values[: grid.front_rows] = (rng.integers(-999, 999, front)
                                      + 1j * rng.integers(-999, 999, front)) / 8  # 9 digits hold these
         write_field_csv(FieldGrid(values=values, grid=grid), tmp_path / "pattern.csv")
-        assert len((tmp_path / "pattern.csv").read_text().splitlines()) == 1 + 9 * grid.front_rows
+        lines = (tmp_path / "pattern.csv").read_text().splitlines()
+        assert len(lines) == 1 + grid.front_rows * grid.shape[1]
         back = read_field_csv(tmp_path / "pattern.csv")
         assert back.grid == grid
         assert back.values.tobytes() == values.tobytes()
