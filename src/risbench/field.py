@@ -489,12 +489,13 @@ def steering_config(surface: SurfaceSpec, theta_deg: float, phi_deg: float = 0.0
 # phi = 0 column (one theta row: the 180 degree grid), and the rows must
 # hold each point of either the full grid or its front rows exactly once,
 # theta from 0 at even steps and phi from 0 up to 360 at even steps, each
-# angle within 1e-6 degrees of its point; it places each row by index, and
-# the back of a front-only file reads as +0.0.  The writer prints each theta
-# and phi value once per grid and formats one theta row per %; a row whose
-# re and im are all +0.0 is written from a template with no formatting.  A
-# -0.0 prints as "-0", so a row that holds one is formatted like any other,
-# and a -0.0 behind the surface keeps the full layout.
+# angle within 1e-6 degrees of its point; it places each row by index, each
+# value with its sign (a "-0" reads as -0.0), and the back of a front-only
+# file reads as +0.0.  The writer prints each theta and phi value once per
+# grid and formats one theta row per %; a row whose re and im are all +0.0
+# is written from a template with no formatting.  A -0.0 prints as "-0", so
+# a row that holds one is formatted like any other, and a -0.0 behind the
+# surface keeps the full layout, also when the file is read and written again.
 
 FIELD_CSV_HEADER = "theta_deg,phi_deg,re,im,mag"
 _CSV_ANGLE_TOL_DEG = 1e-6  # how far a field CSV's theta or phi may sit from its grid point
@@ -560,7 +561,8 @@ def read_field_csv(path: str | Path) -> FieldGrid:
     if index is None or np.bincount(index, minlength=raw.shape[0]).max() != 1:
         raise off_grid
     values = np.zeros(grid.n_points, dtype=complex)  # +0.0 behind a front-only file
-    values[index] = raw[:, 2] + 1j * raw[:, 3]
+    values.real[index] = raw[:, 2]  # part by part, so a -0.0 keeps its sign
+    values.imag[index] = raw[:, 3]
     return FieldGrid(values=values.reshape(grid.shape), grid=grid)
 
 

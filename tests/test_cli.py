@@ -362,6 +362,14 @@ class TestEvaluate:
         assert main(["evaluate", "--config", str(cfg_path), "--achieved", str(coarse)]) == 3
         assert not (tmp / "cache" / "ref").exists()
 
+    def test_missing_achieved_is_io_error_before_any_output(self, run_config, capsys):
+        cfg_path, tmp = run_config
+        code = main(["evaluate", "--config", str(cfg_path), "--achieved", str(tmp / "none.csv"),
+                     "--out", str(tmp / "scored")])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("error: cannot read field CSV")
+        assert not (tmp / "cache").exists() and not (tmp / "scored").exists()
+
     def test_partial_grid_is_io_error(self, run_config, tmp_path):
         cfg_path, tmp = run_config
         partial = tmp_path / "partial.csv"
@@ -511,6 +519,32 @@ class TestImport:
                              "cli.build_parser().parse_args(['table1']); "
                              "print('numpy' in sys.modules)"])
         assert out.strip() == "False"
+
+    def test_cold_reference_lookup_leaves_the_url_stack_unloaded(self, run_config):
+        # Every cold command begins with a reference-cache miss; numpy's own
+        # missing-file check imports its URL handling first.
+        cfg_path, tmp = run_config
+        doc = json.loads(cfg_path.read_text())
+        doc["ga"] = {"population": 4, "generations": 1}
+        doc["grid"] = {"theta_step_deg": 2.0, "phi_step_deg": 2.0}
+        cfg_path.write_text(json.dumps(doc))
+        out = fresh_process(["-c", f"""
+import sys
+from risbench.cli import main
+from risbench.errors import IoError
+from risbench.field import read_field_csv
+assert main(["simulate", "--config", {str(cfg_path)!r}]) == 0
+assert main(["evaluate", "--config", {str(cfg_path)!r},
+             "--achieved", {str(tmp / "out" / "pattern.csv")!r}]) == 0
+try:
+    read_field_csv({str(tmp / "missing.csv")!r})
+except IoError:
+    pass
+print([m for m in ("urllib.request", "http.client", "email", "ssl", "socket")
+       if m in sys.modules])
+"""])
+        assert len(list((tmp / "cache" / "ref").glob("*.config.csv"))) == 1
+        assert out.splitlines()[-1] == "[]"
 
     def test_every_export_resolves(self):
         # perfbench and users import through the package's lazy export table:

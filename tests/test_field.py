@@ -597,6 +597,26 @@ class TestFieldCsv:
         assert (tmp_path / "pattern.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
         assert read_field_csv(tmp_path / "pattern.csv").values[-1, 7] == value
 
+    @pytest.mark.parametrize("value", [complex(-0.0, 0.0), complex(0.0, -0.0)],
+                             ids=["neg_zero_re", "neg_zero_im"])
+    def test_signed_zero_behind_the_surface_is_a_byte_fixed_point(self, tmp_path, value):
+        # The -0.0 cases above, on a field already at the codec's 9 digits:
+        # each part is read with its sign, so the re-write keeps the full layout.
+        surf, _ = build_surface(ideal_cell(), 8, 8)
+        write_field_csv(FieldEvaluator(surf, PW, GridSpec(2.0, 2.0)).field(steering_config(surf, 25.0)),
+                        tmp_path / "kernel.csv")
+        values = read_field_csv(tmp_path / "kernel.csv").values.copy()
+        values[-1, 7] = value
+        paths = [tmp_path / f"pattern{i}.csv" for i in range(2)]
+        write_field_csv(FieldGrid(values=values, grid=GridSpec(2.0, 2.0)), paths[0])
+        back = read_field_csv(paths[0])
+        write_field_csv(back, paths[1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        assert len(paths[1].read_text().splitlines()) == 1 + 90 * 180
+        assert np.signbit(back.values.real[-1, 7]) == np.signbit(value.real)
+        assert np.signbit(back.values.imag[-1, 7]) == np.signbit(value.imag)
+        assert back.values.tobytes() == values.tobytes()
+
     @pytest.mark.parametrize("theta_step, phi_step", [(180 / 7, 40.0), (180.0, 40.0), (90.0, 40.0),
                                                       (60.0, 40.0), (45.0, 40.0), (60.0, 360.0)])
     def test_front_only_round_trip(self, tmp_path, theta_step, phi_step):
@@ -654,6 +674,19 @@ class TestFieldCsv:
         path.write_text("\n".join(["theta_deg,phi_deg,re,im,mag", *rows]) + "\n")
         with pytest.raises(IoError):
             read_field_csv(path)
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+    def test_unreadable_file_is_io_error(self, tmp_path, kind):
+        path = tmp_path / "pattern.csv"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not_utf8":
+            path.write_bytes(b"theta_deg,phi_deg,re,im,mag\n0,0,\xff,0,0\n")
+        with pytest.raises(IoError) as info:
+            read_field_csv(path)
+        assert info.value.exit_code == 4
+        if kind == "missing":
+            assert isinstance(info.value.__cause__, FileNotFoundError)
 
     @pytest.mark.parametrize("text", ["", "theta_deg,phi_deg,re,im,mag\n"],
                              ids=["empty", "header_only"])

@@ -1,3 +1,4 @@
+import gzip
 import json
 
 import numpy as np
@@ -20,6 +21,7 @@ from risbench.surface import (
     build_surface,
     expand_groups,
     load_unit_cell,
+    read_config_csv,
     read_json_document,
     surface_from_document,
     uniform_config,
@@ -199,3 +201,22 @@ class TestJsonIngest:
         cfg = uniform_config(surf)
         with pytest.raises(ValueError):
             cfg.states[0, 0] = 1
+
+
+class TestConfigCsv:
+    @pytest.mark.parametrize("kind", ["missing", "gz_beside", "directory", "not_utf8"])
+    def test_unreadable_file_is_parse_error(self, tmp_path, kind):
+        # A missing file is not looked for under another name: numpy alone
+        # would read a config.csv.gz in its place.
+        path = tmp_path / "config.csv"
+        if kind == "gz_beside":
+            (tmp_path / "config.csv.gz").write_bytes(gzip.compress(b"0,1\n1,0\n"))
+        elif kind == "directory":
+            path.mkdir()
+        elif kind == "not_utf8":
+            path.write_bytes(b"0,1\n\xff,0\n")
+        with pytest.raises(ConfigParseError) as info:
+            read_config_csv(path)
+        assert info.value.exit_code == 2
+        if kind in ("missing", "gz_beside"):
+            assert isinstance(info.value.__cause__, FileNotFoundError)
