@@ -231,10 +231,11 @@ def load_csv_table(path: str | Path, **kwargs) -> np.ndarray:
     malformed file; numpy itself only warns and returns an empty array.
     A missing file raises ``FileNotFoundError`` from ``os.stat`` before numpy
     sees the path: numpy's own check first rules out a URL, which imports
-    ``urllib.request``, ``http.client``, ``ssl`` and ``socket`` (about 7 MB
-    resident, once per process), and every cold reference-cache lookup is
-    such a miss.  numpy still gets the path, not an open file, because only
-    a path takes its chunked C reader; a file handle is read line by line.
+    ``urllib.request``, ``http.client``, ``email``, ``ssl`` and ``socket``
+    (about 7 MB resident, once per process), and every cold reference-cache
+    lookup is such a miss.  numpy still gets the path, not an open file,
+    because only a path takes its chunked C reader; a file handle is read
+    line by line.
     """
     os.stat(path)  # a missing file stops here, before numpy's URL check
     with warnings.catch_warnings():
