@@ -126,7 +126,7 @@ def ideal_target_field(bm: BenchmarkPattern, grid: GridSpec | None = None) -> Fi
     for s >= 0 and the phi = 180 column for s < 0, with a matching raised
     cosine tapering to zero across ``PHI_BAND_DEG`` of azimuth on either side
     of the beam's half-plane.  A one-column target is too sparse to steer an
-    optimizer on a 1-degree grid (22 of 64 800 samples), the same reason the
+    optimizer on a 1-degree grid (22 of 32 760 samples), the same reason the
     metric integrals use a phi band.  The result is normalized to a peak of
     exactly 1.  Every lobe must hold a sample of the grid, a theta inside
     its span with a phi column in its half-plane's band: a lobe with none
@@ -134,11 +134,10 @@ def ideal_target_field(bm: BenchmarkPattern, grid: GridSpec | None = None) -> Fi
     toward and no cut sample to score.
     """
     grid = grid or GridSpec()
-    theta = grid.theta_deg()
+    front = grid.theta_deg()
     phi = grid.phi_deg()
-    values = np.zeros((theta.size, phi.size))
+    values = np.zeros(grid.shape)
 
-    front = theta[: grid.front_rows]
     phi_off = {plane: phi_distance(phi, plane) for plane in (0.0, 180.0)}
     for beam in bm.beams:
         width = beam.lobe_end_deg - beam.lobe_start_deg

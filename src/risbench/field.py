@@ -7,11 +7,12 @@ cell's re-radiation envelope.  The weight/steering split keeps the heavy
 trigonometry independent of the configuration, so sweeping thousands of
 configurations against one surface reuses the precomputed phase tables.
 
-Only the front hemisphere (theta <= 90 deg) is ever computed; the back
-hemisphere is identically zero for a reflective surface over a ground
-plane.  The kernel folds four symmetries.  Columns phi and 360 - phi
-share u = sin(theta) cos(phi) and negate v; on a grid with an even number
-of columns, phi and 180 - phi share v and negate u.  So the tables cover
+A reflective surface over a ground plane radiates nothing behind it, so
+``GridSpec`` is the front hemisphere, theta 0..90 deg, and no field holds
+the back; NMSE alone counts it, as zeros (``GridSpec.sphere_points``).
+The kernel folds four symmetries.  Columns phi and 360 - phi share
+u = sin(theta) cos(phi) and negate v; on a grid with an even number of
+columns, phi and 180 - phi share v and negate u.  So the tables cover
 phi up to 90 only (up to 180 on an odd grid, which has no 180 - phi
 column), and every other column is a sign flip of the same eight real sums.
 The lattice is centred on both axes, x[N-1-n] = -x[n] and y[M-1-m] = -y[m],
@@ -46,11 +47,12 @@ says how many the GA ranks per call.  A configuration's field does not
 depend on its stack on the SkylakeX kernels, and moves by about 1.5e-7 of
 the peak in float32 on the Haswell kernels.
 
-Each grid rule the other modules apply lives here once: the front rows
-(``GridSpec.front_rows``), azimuth distance (``phi_distance``), the lobe
-band (``PHI_BAND_DEG``, ``band_columns``), the principal-cut columns
-(``principal_columns``), peak scaling (``peak_magnitude``) and the aperture
-phase shared by planewave incidence and beam steering (``aperture_phase``).
+Each grid rule the other modules apply lives here once: the point count
+of the full sphere (``GridSpec.sphere_points``), azimuth distance
+(``phi_distance``), the lobe band (``PHI_BAND_DEG``, ``band_columns``),
+the principal-cut columns (``principal_columns``), peak scaling
+(``peak_magnitude``) and the aperture phase shared by planewave incidence
+and beam steering (``aperture_phase``).
 """
 
 from __future__ import annotations
@@ -116,7 +118,12 @@ class SourceModel:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Angular sampling: theta in [0, 180), phi in [0, 360), fixed steps."""
+    """Angular sampling of the front hemisphere at fixed steps: theta from 0
+    up to 90 degrees, phi in [0, 360).
+
+    Each step must divide its full span, 180 degrees of theta and 360 of
+    phi, so a grid is the front rows of an even theta 0..180 sphere grid.
+    """
 
     theta_step_deg: float = 1.0
     phi_step_deg: float = 1.0
@@ -132,28 +139,28 @@ class GridSpec:
             object.__setattr__(self, f"{name}_step_deg", span / count)
 
     def theta_deg(self) -> np.ndarray:
-        return np.arange(round(180.0 / self.theta_step_deg)) * self.theta_step_deg
+        return np.arange(self.shape[0]) * self.theta_step_deg
 
     def phi_deg(self) -> np.ndarray:
-        return np.arange(round(360.0 / self.phi_step_deg)) * self.phi_step_deg
+        return np.arange(self.shape[1]) * self.phi_step_deg
 
     @property
     def shape(self) -> tuple[int, int]:
-        return round(180.0 / self.theta_step_deg), round(360.0 / self.phi_step_deg)
+        return round(180.0 / self.theta_step_deg) // 2 + 1, round(360.0 / self.phi_step_deg)
 
     @property
     def n_points(self) -> int:
         return math.prod(self.shape)
 
     @property
-    def front_rows(self) -> int:
-        """Leading theta rows of the front hemisphere, theta = 0 up to 90 deg."""
-        return self.shape[0] // 2 + 1
+    def sphere_points(self) -> int:
+        """Points of the full theta 0..180 grid, the back hemisphere's included."""
+        return round(180.0 / self.theta_step_deg) * self.shape[1]
 
 
 @dataclass(frozen=True)
 class FieldGrid:
-    """Complex E over the grid; values[i, j] at (theta_i, phi_j)."""
+    """Complex E over the front-hemisphere grid; values[i, j] at (theta_i, phi_j)."""
 
     values: np.ndarray
     grid: GridSpec
@@ -317,9 +324,8 @@ class FieldEvaluator:
         self.grid = grid
         k = 2.0 * math.pi / surface.cell.wavelength_m
 
-        th = np.radians(grid.theta_deg()[: grid.front_rows])
+        th = np.radians(grid.theta_deg())
         n_phi = grid.shape[1]
-        self.front_size = grid.front_rows * n_phi  # leading part of the flat grid
 
         # Direction cosines of the columns phi_j, j < n_rep, flattened
         # theta-major.  Column n_phi - j has the same u and -v; on an even
@@ -384,7 +390,7 @@ class FieldEvaluator:
         """Complex field over the front hemisphere, flattened theta-major.
 
         ``states`` is an (M, N) array of valid state indices, or a (B, M, N)
-        stack of them, which gives (B, front_size): one fold, one GEMM per
+        stack of them, which gives (B, grid.n_points): one fold, one GEMM per
         direction block and one column gather serve the whole stack.  They
         are not checked here, so callers validate untrusted input first.
         """
@@ -416,7 +422,7 @@ class FieldEvaluator:
                 steer_y)
         flips = sums.reshape(n_cfg, 8, -1).transpose(0, 2, 1) @ self._flips
         flips = flips.view(np.result_type(flips.dtype, 1j))  # (B, Lq, 4 flips)
-        out = flips.reshape(n_cfg, self.grid.front_rows, -1)[:, :, self._columns].reshape(n_cfg, -1)
+        out = flips.reshape(n_cfg, self.grid.shape[0], -1)[:, :, self._columns].reshape(n_cfg, -1)
         return out if states.ndim == 3 else out[0]
 
     @property
@@ -445,16 +451,14 @@ class FieldEvaluator:
     def field(self, config: ConfigMatrix) -> FieldGrid:
         """Complex far-field of one configuration."""
         validate_config(self.surface, config)
-        values = np.zeros(self.grid.n_points, dtype=complex)  # zero behind the surface
-        values[: self.front_size] = self.front(config.states)
-        return FieldGrid(values=values.reshape(self.grid.shape), grid=self.grid)
+        return FieldGrid(values=self.front(config.states).reshape(self.grid.shape), grid=self.grid)
 
 
 def principal_cut(gridval: FieldGrid) -> PrincipalCut:
     """Signed elevation cut: +theta from phi = 0, -theta from phi = 180."""
     col0, col180 = principal_columns(gridval.grid)
     step = gridval.grid.theta_step_deg
-    k_max = gridval.grid.front_rows - 1
+    k_max = gridval.grid.shape[0] - 1
     mags = gridval.magnitude()
     pos = mags[: k_max + 1, col0]
     neg = mags[k_max:0:-1, col180]
@@ -480,22 +484,18 @@ def steering_config(surface: SurfaceSpec, theta_deg: float, phi_deg: float = 0.0
 # -- CSV serialization ---------------------------------------------------------
 #
 # Header `theta_deg,phi_deg,re,im,mag`, one row per grid point, theta-major,
-# 9 significant digits: the bytes of np.savetxt(fmt="%.9g") of the rows
-# written.  A field whose back hemisphere (the rows after
-# ``GridSpec.front_rows``) is all +0.0, as every computed field's is, is
-# written as its front rows only; any other field is written in full, as
-# every file before the front-only layout was.  A reader takes the rows in
-# any order.  The theta step is the spacing of the theta values on the
-# phi = 0 column (one theta row: the 180 degree grid), and the rows must
-# hold each point of either the full grid or its front rows exactly once,
-# theta from 0 at even steps and phi from 0 up to 360 at even steps, each
-# angle within 1e-6 degrees of its point; it places each row by index, each
-# value with its sign (a "-0" reads as -0.0), and the back of a front-only
-# file reads as +0.0.  The writer prints each theta and phi value once per
-# grid and formats one theta row per %; a row whose re and im are all +0.0
-# is written from a template with no formatting.  A -0.0 prints as "-0", so
-# a row that holds one is formatted like any other, and a -0.0 behind the
-# surface keeps the full layout, also when the file is read and written again.
+# 9 significant digits: the bytes of np.savetxt(fmt="%.9g") of the grid's
+# rows, theta 0..90.  The writer prints each theta and phi value once per
+# grid and formats one theta row per %.  A reader takes the rows in any
+# order.  The theta step is the spacing of the theta values on the phi = 0
+# column (one theta row: the 180 degree grid), and the rows must hold each
+# point of either the grid or the full theta 0..180 sphere grid, which files
+# written before the front-only layout hold, exactly once, theta from 0 at
+# even steps and phi from 0 up to 360 at even steps, each angle within 1e-6
+# degrees of its point; it places each row by index, each value with its
+# sign (a "-0" reads as -0.0).  A sphere file's rows behind the surface are
+# dropped if their re and im are all zero (+0.0 or -0.0); a non-zero value
+# there is an IoError, since dropping it would change the file's NMSE.
 
 FIELD_CSV_HEADER = "theta_deg,phi_deg,re,im,mag"
 _CSV_ANGLE_TOL_DEG = 1e-6  # how far a field CSV's theta or phi may sit from its grid point
@@ -506,22 +506,14 @@ def write_field_csv(gridval: FieldGrid, path: str | Path) -> None:
     values = gridval.values
     phis = ["%.9g" % p for p in gridval.grid.phi_deg().tolist()]
     tails = [f",{p},%.9g,%.9g,%.9g\n" for p in phis]
-    zero_tails = [f",{p},0,0,0\n" for p in phis]
-    zero_rows = ~((values != 0) | np.signbit(values.real) | np.signbit(values.imag)).any(axis=1)
-    front = gridval.grid.front_rows
-    n_rows = front if zero_rows[front:].all() else len(values)
-    values = values[:n_rows]
     table = np.stack([values.real, values.imag, np.abs(values)], axis=-1)  # (theta, phi, 3)
     tmp = path.with_name(path.name + ".tmp")  # readers never see a partial file
     try:
         with open(tmp, "w") as out:
             out.write(FIELD_CSV_HEADER + "\n")
-            for theta, zero, row in zip(gridval.grid.theta_deg()[:n_rows].tolist(), zero_rows, table):
+            for theta, row in zip(gridval.grid.theta_deg().tolist(), table):
                 th = "%.9g" % theta
-                if zero:
-                    out.write(th + th.join(zero_tails))
-                else:
-                    out.write((th + th.join(tails)) % tuple(row.ravel().tolist()))
+                out.write((th + th.join(tails)) % tuple(row.ravel().tolist()))
         os.replace(tmp, path)
     except OSError as exc:
         raise IoError(f"cannot write field CSV {path}: {exc}") from exc
@@ -539,9 +531,9 @@ def read_field_csv(path: str | Path) -> FieldGrid:
         raise IoError(f"malformed field CSV {path}: expected 5 columns, got {raw.shape[1]}")
     # The theta = 0 rows count the phi columns, and the spacing of the theta
     # values on the phi = 0 column gives the theta step; then the file must
-    # hold the full grid or its front rows, each row on its own point.
-    off_grid = IoError(f"field CSV {path} does not hold each point of an even theta 0..180, "
-                       "phi 0..360 grid, or of its front rows, exactly once")
+    # hold the grid or its full sphere, each row on its own point.
+    off_grid = IoError(f"field CSV {path} does not hold each point of an even theta 0..90 "
+                       "or 0..180, phi 0..360 grid exactly once")
     on_axis = np.abs(raw[:, :2]) <= _CSV_ANGLE_TOL_DEG
     n_phi = np.count_nonzero(on_axis[:, 0])
     n_rows = raw.shape[0] // max(n_phi, 1)
@@ -549,18 +541,24 @@ def read_field_csv(path: str | Path) -> FieldGrid:
     spacing = thetas.max() / (thetas.size - 1) if thetas.size > 1 else 180.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         n_theta = float(np.rint(180.0 / spacing))
-    # n_rows front rows belong to a grid of 2 n_rows - 2 or 2 n_rows - 1 theta rows.
+    # n_rows front rows belong to a sphere of 2 n_rows - 2 or 2 n_rows - 1 theta rows.
     if n_phi == 0 or not 1 <= n_theta <= 2 * n_rows - 1:
         raise off_grid
     grid = GridSpec(theta_step_deg=180.0 / n_theta, phi_step_deg=360.0 / n_phi)
-    if n_rows not in (grid.shape[0], grid.front_rows):
+    if n_rows not in (grid.shape[0], n_theta):
         raise off_grid
     i = _grid_index(raw[:, 0], grid.theta_step_deg, n_rows)
     j = _grid_index(raw[:, 1], grid.phi_step_deg, n_phi)
     index = None if i is None or j is None else i * n_phi + j
     if index is None or np.bincount(index, minlength=raw.shape[0]).max() != 1:
         raise off_grid
-    values = np.zeros(grid.n_points, dtype=complex)  # +0.0 behind a front-only file
+    front = index < grid.n_points
+    if not front.all():
+        if np.any(raw[~front, 2:4] != 0.0):  # -0.0 == 0.0, so a signed zero is dropped
+            raise IoError(f"field CSV {path} holds a non-zero value behind the surface, "
+                          "theta > 90 deg")
+        raw, index = raw[front], index[front]
+    values = np.zeros(grid.n_points, dtype=complex)
     values.real[index] = raw[:, 2]  # part by part, so a -0.0 keeps its sign
     values.imag[index] = raw[:, 3]
     return FieldGrid(values=values.reshape(grid.shape), grid=grid)

@@ -56,7 +56,9 @@ from .surface import ConfigMatrix, SurfaceSpec, expand_groups
 #      chromosome's float32 bits may depend on its stack on some BLAS kernels
 #   6: each generation bred in whole-array draws (a new random stream), on
 #      chromosomes of the smallest unsigned type; complex64 ranker weights
-SEARCH_REVISION = 6
+#   7: fields hold the front hemisphere only, so NMSE sums the front and
+#      divides by the sphere's point count: its last bits move
+SEARCH_REVISION = 7
 
 
 @dataclass(frozen=True)
@@ -105,9 +107,8 @@ class _Objective:
     """Search score of group-state chromosomes.
 
     ``rank`` scores a (B, n_genes) stack of chromosomes in one call of
-    ``evaluator``'s kernel in single precision, summed over the front
-    hemisphere only, plus the target's back-hemisphere energy, a
-    constant since the achieved field is zero there.  It agrees with the
+    ``evaluator``'s kernel in single precision, summed over the grid and
+    divided by the full sphere's point count, as ``nmse`` is.  It agrees with the
     exact fitness, ``-nmse(target, evaluator.field(config))``, to about 1e-6
     relative, enough to rank chromosomes; no reported value comes from it.
     """
@@ -119,17 +120,14 @@ class _Objective:
         self._ranker = self.evaluator.astype(np.float32)
 
         t_mags = target.magnitude()
-        t_norm = (t_mags / peak_magnitude(t_mags)).ravel()
-        front = self.evaluator.front_size
-        self._t_front = t_norm[:front].astype(np.float32)
-        self._t_back_energy = float(t_norm[front:] @ t_norm[front:])
+        self._t_norm = (t_mags / peak_magnitude(t_mags)).ravel().astype(np.float32)
 
     def rank(self, chromosomes: np.ndarray) -> np.ndarray:
         """(B,) float64 scores of a (B, n_genes) stack, one ``front`` call."""
         mags = np.abs(self._ranker.front(chromosomes[:, self._group_ids]))
-        diff = self._t_front - mags / mags.max(axis=1, keepdims=True)
+        diff = self._t_norm - mags / mags.max(axis=1, keepdims=True)
         energy = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0].astype(np.float64)
-        return -(energy + self._t_back_energy) / self.target.grid.n_points
+        return -energy / self.target.grid.sphere_points
 
 
 def _breed(rng: np.random.Generator, pop: np.ndarray, fits: np.ndarray, params: GAParams,

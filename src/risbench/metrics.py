@@ -112,12 +112,13 @@ def directivity_error(reference: FieldGrid, achieved: FieldGrid,
 
 
 def nmse(reference: FieldGrid, achieved: FieldGrid) -> float:
-    """Mean squared difference of peak-normalized magnitudes over the grid."""
+    """Mean squared difference of peak-normalized magnitudes over the full
+    theta 0..180 sphere, whose back hemisphere is zero in both fields."""
     if reference.grid != achieved.grid:
         raise GridMismatch("reference and achieved grids differ")
     ref, ach = reference.magnitude(), achieved.magnitude()
     diff = ref / peak_magnitude(ref) - ach / peak_magnitude(ach)
-    return float(np.mean(diff * diff))
+    return float(np.sum(diff * diff) / reference.grid.sphere_points)
 
 
 def lobe_peaks(cut: PrincipalCut) -> list[tuple[float, float]]:

@@ -146,8 +146,8 @@ def test_05_quantization_mirror_lobe():
 
 
 def test_06_metric_identities():
-    v = np.zeros((180, 360))
-    theta = np.arange(180.0)
+    v = np.zeros(GRID.shape)
+    theta = GRID.theta_deg()
     inside = np.abs(theta - 30.0) <= 3.0
     v[inside, 0] = np.cos(np.pi * (theta[inside] - 30.0) / 6.0) ** 2
     fg = FieldGrid(values=v.astype(complex), grid=GRID)
@@ -158,12 +158,12 @@ def test_06_metric_identities():
 
     bm = load_benchmark("B1")
     assert directivity_error(fg, fg, bm) == 0.0
-    w = np.zeros((180, 360))
+    w = np.zeros(GRID.shape)
     w[np.abs(theta - 60.0) <= 3.0, 0] = 1.0  # all power outside [27, 33]
     zero_in_regions = FieldGrid(values=w.astype(complex), grid=GRID)
     assert np.isclose(directivity_error(fg, zero_in_regions, bm), 1.0)
 
-    u = np.zeros((180, 360))
+    u = np.zeros(GRID.shape)
     u[28:33, 0] = [0.5, 0.9, 1.0, 0.9, 0.5]
     u[58:63, 0] = [0.5, 0.9, 1.0, 0.9, 0.5]
     slr, _ = side_lobe_ratio(FieldGrid(values=u.astype(complex), grid=GRID), bm)
@@ -172,9 +172,7 @@ def test_06_metric_identities():
 
 
 def test_07_directivity_riemann_oracle():
-    v = np.zeros((180, 360), dtype=complex)
-    v[:91, :] = 1.0
-    hemi = FieldGrid(values=v, grid=GRID)
+    hemi = FieldGrid(values=np.ones(GRID.shape, dtype=complex), grid=GRID)
     d = directivity_over_region(hemi, -90.0, 90.0, 0.0, phi_band_deg=180.0)
     rel = abs(d - 2 * math.pi) / (2 * math.pi)
     assert rel < 1e-3, f"relative error {rel}"

@@ -370,6 +370,39 @@ class TestEvaluate:
         assert capsys.readouterr().err.startswith("error: cannot read field CSV")
         assert not (tmp / "cache").exists() and not (tmp / "scored").exists()
 
+    @staticmethod
+    def sphere_copy(pattern, path, last="0,0,0"):
+        """``pattern`` with the 1 deg sphere's back rows, theta 91..179, appended:
+        all zero but the last, which holds ``last`` as its re, im and mag."""
+        back = [f"{t},{p},0,0,0" for t in range(91, 180) for p in range(360)]
+        back[-1] = f"179,359,{last}"
+        path.write_text(pattern.read_text() + "\n".join(back) + "\n")
+        return str(path)
+
+    def test_sphere_file_with_a_zero_back_scores_as_its_front(self, run_config, capsys):
+        cfg_path, tmp = run_config
+        assert main(["simulate", "--config", str(cfg_path)]) == 0
+        pattern = tmp / "out" / "pattern.csv"
+        sphere = self.sphere_copy(pattern, tmp / "sphere.csv", last="-0,0,0")
+        capsys.readouterr()
+        outs = []
+        for achieved in (str(pattern), sphere):
+            assert main(["evaluate", "--config", str(cfg_path), "--achieved", achieved,
+                         "--reference", str(pattern)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+    def test_non_zero_back_is_io_error_before_any_output(self, run_config, capsys):
+        cfg_path, tmp = run_config
+        assert main(["simulate", "--config", str(cfg_path)]) == 0
+        sphere = self.sphere_copy(tmp / "out" / "pattern.csv", tmp / "sphere.csv",
+                                  last="0,1e-9,1e-9")
+        code = main(["evaluate", "--config", str(cfg_path), "--achieved", sphere,
+                     "--out", str(tmp / "scored")])
+        assert code == 4
+        assert "non-zero value behind the surface" in capsys.readouterr().err
+        assert not (tmp / "cache").exists() and not (tmp / "scored").exists()
+
     def test_partial_grid_is_io_error(self, run_config, tmp_path):
         cfg_path, tmp = run_config
         partial = tmp_path / "partial.csv"

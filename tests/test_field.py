@@ -71,7 +71,19 @@ class TestRadiationFactor:
 
 class TestGridSpec:
     def test_default_point_count(self):
-        assert GridSpec().n_points == 180 * 360
+        assert GridSpec().shape == (91, 360)
+        assert GridSpec().n_points == 91 * 360
+        assert GridSpec().sphere_points == 180 * 360
+
+    @pytest.mark.parametrize("n_theta", [1, 2, 3, 7, 180, 181])
+    def test_rows_are_the_front_hemisphere(self, n_theta):
+        grid = GridSpec(theta_step_deg=180.0 / n_theta, phi_step_deg=90.0)
+        assert grid.shape == (n_theta // 2 + 1, 4)
+        assert grid.theta_deg().size == grid.shape[0]
+        assert grid.theta_deg()[-1] <= 90.0 + 1e-9
+        # the next row of the sphere grid lies behind the surface
+        assert grid.shape[0] * grid.theta_step_deg > 90.0 + 1e-9
+        assert grid.sphere_points == n_theta * 4
 
     @pytest.mark.parametrize("step", [math.inf, math.nan, 0.0, -1.0])
     def test_step_must_be_positive_and_finite(self, step):
@@ -101,6 +113,8 @@ class TestGridSpec:
     def test_field_values_must_fill_the_grid(self):
         with pytest.raises(GridMismatch):
             FieldGrid(values=np.zeros((90, 360), dtype=complex), grid=GridSpec())
+        with pytest.raises(GridMismatch):  # the full sphere is not the grid
+            FieldGrid(values=np.zeros((180, 360), dtype=complex), grid=GridSpec())
 
     def test_every_layer_covers_the_front_rows(self):
         # At a step of 180/338 the theta = 90 row computes to just above 90,
@@ -110,13 +124,13 @@ class TestGridSpec:
         bm = BenchmarkPattern(id="BX", beams=(BeamSpec(0.0, 1.0, -90.0, 90.0),))
         for n in range(2, 721, 2):
             grid = GridSpec(theta_step_deg=180.0 / n, phi_step_deg=90.0)
-            rows = grid.front_rows
+            rows = grid.shape[0]
             assert abs(grid.theta_deg()[rows - 1] - 90.0) < 1e-9, n
             evaluator = FieldEvaluator(surf, PW, grid)
             assert evaluator.front(config.states).size == rows * 4, n
             assert principal_cut(evaluator.field(config)).magnitude.size == 2 * rows - 1, n
             target = ideal_target_field(bm, grid)
-            assert not target.values[rows:].any(), n
+            assert target.values.shape == (rows, 4), n
             cut = principal_cut(target)
             np.testing.assert_allclose(cut.magnitude, np.cos(np.radians(cut.signed_theta_deg)) ** 2,
                                        rtol=0.0, atol=1e-12, err_msg=str(n))
@@ -387,7 +401,7 @@ class TestStacks:
             single = np.array([cast.front(states) for states in stack])
             for size in (1, 2, 6, 7):
                 got = cast.front(stack[:size])
-                assert got.shape == (size, ev.front_size)
+                assert got.shape == (size, grid.n_points)
                 # the float32 kernel's stated bound, 2.5e-7 of each field's peak
                 err = np.abs(got - single[:size]).max(axis=1)
                 assert np.all(err <= 2.5e-7 * np.abs(single[:size]).max(axis=1))
@@ -449,7 +463,7 @@ class TestPrincipalCut:
     def test_grid_without_180_column(self):
         # phi step of 8 deg divides 360 but never lands on 180
         grid = GridSpec(theta_step_deg=4.0, phi_step_deg=8.0)
-        fg = FieldGrid(values=np.zeros((45, 45), dtype=complex), grid=grid)
+        fg = FieldGrid(values=np.zeros(grid.shape, dtype=complex), grid=grid)
         with pytest.raises(GridMissingPlane):
             principal_cut(fg)
 
@@ -510,10 +524,20 @@ class TestStateCoefficients:
         np.testing.assert_allclose(coeffs, [1, 1j, -1, -1j], atol=1e-15)
 
 
-def _savetxt_oracle(fg: FieldGrid, path, n_rows: int) -> None:
-    """The first ``n_rows`` theta rows of ``fg`` as np.savetxt writes them."""
-    theta, phi = np.meshgrid(fg.grid.theta_deg()[:n_rows], fg.grid.phi_deg(), indexing="ij")
-    flat = fg.values[:n_rows].ravel()
+def _back_of(grid: GridSpec, value: complex = 0j) -> np.ndarray:
+    """``value`` at every point of the sphere's theta rows behind the surface."""
+    n_back = grid.sphere_points // grid.shape[1] - grid.shape[0]
+    return np.full((n_back, grid.shape[1]), value)
+
+
+def _savetxt_oracle(fg: FieldGrid, path, back: np.ndarray | None = None) -> None:
+    """``fg`` as np.savetxt writes it; with ``back``, the full theta 0..180
+    sphere, ``back`` behind the surface, as files written before the
+    front-only layout hold it."""
+    values = fg.values if back is None else np.concatenate([fg.values, back])
+    theta, phi = np.meshgrid(np.arange(len(values)) * fg.grid.theta_step_deg, fg.grid.phi_deg(),
+                             indexing="ij")
+    flat = values.ravel()
     table = np.column_stack([theta.ravel(), phi.ravel(), flat.real, flat.imag, np.abs(flat)])
     np.savetxt(path, table, fmt="%.9g,%.9g,%.9g,%.9g,%.9g",
                header="theta_deg,phi_deg,re,im,mag", comments="")
@@ -532,7 +556,7 @@ class TestFieldCsv:
         np.testing.assert_allclose(back.values, fg.values, rtol=1e-8, atol=1e-8 * np.abs(fg.values).max())
 
     def test_bytes_match_savetxt(self, tmp_path):
-        # 90 x 120 = 10800 rows, written one theta row of 120 at a time.
+        # 46 x 120 = 5520 rows, written one theta row of 120 at a time.
         grid = GridSpec(2.0, 3.0)
         rng = np.random.default_rng(7)
         values = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
@@ -548,10 +572,10 @@ class TestFieldCsv:
         assert b"-0,-0,0\n" in (tmp_path / "pattern.csv").read_bytes()
 
     def test_bytes_match_savetxt_on_zero_rows(self, tmp_path):
-        # All-zero rows are written from a template; a -0.0 must still print "-0".
+        # An all-zero row is formatted like any other, and a -0.0 prints "-0".
         surf, _ = build_surface(ideal_cell(), 40, 40)
         kernel = FieldEvaluator(surf, PW, GRID).field(steering_config(surf, 25.0, 10.0))
-        odd = GridSpec(30.0, 40.0)  # 6 theta rows x 9 phi columns
+        odd = GridSpec(30.0, 40.0)  # 4 theta rows x 9 phi columns
         rng = np.random.default_rng(11)
         dense = rng.normal(size=odd.shape) + 1j * rng.normal(size=odd.shape)
         zero_row, neg_re, neg_im = dense.copy(), dense.copy(), dense.copy()
@@ -561,9 +585,7 @@ class TestFieldCsv:
         fields = [kernel, *(FieldGrid(values=v, grid=odd) for v in (dense, zero_row, neg_re, neg_im))]
         text = []
         for fg in fields:
-            # The kernel field's back is all +0.0, so only its front rows are written.
-            rows = fg.grid.front_rows if fg is kernel else fg.grid.shape[0]
-            _savetxt_oracle(fg, tmp_path / "oracle.csv", rows)
+            _savetxt_oracle(fg, tmp_path / "oracle.csv")
             write_field_csv(fg, tmp_path / "pattern.csv")
             text.append((tmp_path / "pattern.csv").read_text())
             assert (tmp_path / "pattern.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
@@ -576,7 +598,7 @@ class TestFieldCsv:
         # grid, the bytes of the np.savetxt oracle.
         surf, _ = build_surface(ideal_cell(), 40, 40)
         fg = FieldEvaluator(surf, PW, GridSpec(2.0, 2.0)).field(steering_config(surf, 25.0, 10.0))
-        _savetxt_oracle(fg, tmp_path / "full.csv", fg.grid.shape[0])
+        _savetxt_oracle(fg, tmp_path / "full.csv", _back_of(fg.grid))
         write_field_csv(fg, tmp_path / "front.csv")
         full = (tmp_path / "full.csv").read_text().splitlines(keepends=True)
         assert (tmp_path / "front.csv").read_text() == "".join(full[: 1 + 46 * 180])
@@ -587,35 +609,40 @@ class TestFieldCsv:
     @pytest.mark.parametrize("value", [1e-300, complex(-0.0, 0.0), complex(0.0, -0.0)],
                              ids=["nonzero", "neg_zero_re", "neg_zero_im"])
     def test_back_not_all_positive_zero_is_written_in_full(self, tmp_path, value):
+        # The last row is theta = 90, the edge of the front hemisphere.
         surf, _ = build_surface(ideal_cell(), 8, 8)
         fg = FieldEvaluator(surf, PW, GridSpec(2.0, 2.0)).field(steering_config(surf, 25.0))
         values = fg.values.copy()
         values[-1, 7] = value
         fg = FieldGrid(values=values, grid=fg.grid)
-        _savetxt_oracle(fg, tmp_path / "oracle.csv", fg.grid.shape[0])
+        _savetxt_oracle(fg, tmp_path / "oracle.csv")
         write_field_csv(fg, tmp_path / "pattern.csv")
         assert (tmp_path / "pattern.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
-        assert read_field_csv(tmp_path / "pattern.csv").values[-1, 7] == value
+        back = read_field_csv(tmp_path / "pattern.csv").values[-1, 7]
+        assert back == value
+        assert np.signbit([back.real, back.imag]).tolist() == np.signbit([value.real, value.imag]).tolist()
 
-    @pytest.mark.parametrize("value", [complex(-0.0, 0.0), complex(0.0, -0.0)],
-                             ids=["neg_zero_re", "neg_zero_im"])
-    def test_signed_zero_behind_the_surface_is_a_byte_fixed_point(self, tmp_path, value):
-        # The -0.0 cases above, on a field already at the codec's 9 digits:
-        # each part is read with its sign, so the re-write keeps the full layout.
+    @pytest.mark.parametrize("zero", [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)],
+                             ids=["pos", "neg_re", "neg_im", "neg_both"])
+    def test_sphere_file_with_a_zero_back_reads_as_its_front(self, tmp_path, zero):
         surf, _ = build_surface(ideal_cell(), 8, 8)
-        write_field_csv(FieldEvaluator(surf, PW, GridSpec(2.0, 2.0)).field(steering_config(surf, 25.0)),
-                        tmp_path / "kernel.csv")
-        values = read_field_csv(tmp_path / "kernel.csv").values.copy()
-        values[-1, 7] = value
-        paths = [tmp_path / f"pattern{i}.csv" for i in range(2)]
-        write_field_csv(FieldGrid(values=values, grid=GridSpec(2.0, 2.0)), paths[0])
-        back = read_field_csv(paths[0])
-        write_field_csv(back, paths[1])
-        assert paths[0].read_bytes() == paths[1].read_bytes()
-        assert len(paths[1].read_text().splitlines()) == 1 + 90 * 180
-        assert np.signbit(back.values.real[-1, 7]) == np.signbit(value.real)
-        assert np.signbit(back.values.imag[-1, 7]) == np.signbit(value.imag)
-        assert back.values.tobytes() == values.tobytes()
+        fg = FieldEvaluator(surf, PW, GridSpec(2.0, 2.0)).field(steering_config(surf, 25.0))
+        _savetxt_oracle(fg, tmp_path / "sphere.csv", _back_of(fg.grid, zero))
+        write_field_csv(fg, tmp_path / "front.csv")
+        sphere, front = read_field_csv(tmp_path / "sphere.csv"), read_field_csv(tmp_path / "front.csv")
+        assert sphere.grid == front.grid == fg.grid
+        assert sphere.values.tobytes() == front.values.tobytes()
+
+    @pytest.mark.parametrize("value", [complex(1e-300, 0.0), complex(-0.0, -2.5)], ids=["re", "im"])
+    def test_non_zero_back_is_io_error(self, tmp_path, value):
+        # Dropping the value would change the file's NMSE.
+        surf, _ = build_surface(ideal_cell(), 8, 8)
+        fg = FieldEvaluator(surf, PW, GridSpec(2.0, 2.0)).field(steering_config(surf, 25.0))
+        back = _back_of(fg.grid)
+        back[-1, 7] = value
+        _savetxt_oracle(fg, tmp_path / "sphere.csv", back)
+        with pytest.raises(IoError, match="non-zero value behind the surface"):
+            read_field_csv(tmp_path / "sphere.csv")
 
     @pytest.mark.parametrize("theta_step, phi_step", [(180 / 7, 40.0), (180.0, 40.0), (90.0, 40.0),
                                                       (60.0, 40.0), (45.0, 40.0), (60.0, 360.0)])
@@ -623,13 +650,11 @@ class TestFieldCsv:
         # Odd and even theta counts; 1 and 2 theta rows are all front rows.
         grid = GridSpec(theta_step, phi_step)
         rng = np.random.default_rng(4)
-        values = np.zeros(grid.shape, dtype=complex)
-        front = (grid.front_rows, grid.shape[1])
-        values[: grid.front_rows] = (rng.integers(-999, 999, front)
-                                     + 1j * rng.integers(-999, 999, front)) / 8  # 9 digits hold these
+        values = (rng.integers(-999, 999, grid.shape)
+                  + 1j * rng.integers(-999, 999, grid.shape)) / 8  # 9 digits hold these
         write_field_csv(FieldGrid(values=values, grid=grid), tmp_path / "pattern.csv")
         lines = (tmp_path / "pattern.csv").read_text().splitlines()
-        assert len(lines) == 1 + grid.front_rows * grid.shape[1]
+        assert len(lines) == 1 + grid.n_points
         back = read_field_csv(tmp_path / "pattern.csv")
         assert back.grid == grid
         assert back.values.tobytes() == values.tobytes()

@@ -10,7 +10,8 @@ from risbench.errors import (
     GridMismatch,
     ZeroReferenceDirectivity,
 )
-from risbench.field import FieldGrid, GridSpec, PrincipalCut, principal_cut
+from risbench.field import (FieldEvaluator, FieldGrid, GridSpec, PrincipalCut, SourceModel,
+                            principal_cut, steering_config)
 from risbench.metrics import (
     NO_SIDE_LOBE_DB,
     ZERO_INTENDED_DB,
@@ -21,6 +22,7 @@ from risbench.metrics import (
     nmse,
     side_lobe_ratio,
 )
+from risbench.surface import ConfigMatrix, build_surface, load_unit_cell
 
 GRID = GridSpec()
 
@@ -30,7 +32,7 @@ def grid_of(values) -> FieldGrid:
 
 
 def zeros_grid() -> np.ndarray:
-    return np.zeros((180, 360))
+    return np.zeros(GRID.shape)
 
 
 def cut_of(power_by_signed_deg) -> PrincipalCut:
@@ -51,7 +53,7 @@ def single_beam(theta=30.0, start=27.0, end=33.0, amp=1.0) -> BenchmarkPattern:
 def lobe_field(center_deg=30.0, width=6.0, amp=1.0, phi_col=0):
     """Raised-cosine lobe painted into one phi column."""
     v = zeros_grid()
-    theta = np.arange(180.0)
+    theta = GRID.theta_deg()
     inside = np.abs(theta - center_deg) <= width / 2
     v[inside, phi_col] = amp * np.cos(np.pi * (theta[inside] - center_deg) / width) ** 2
     return grid_of(v)
@@ -68,14 +70,13 @@ class TestDirectivityOverRegion:
         assert np.isclose(d3, 9.0 * d1, rtol=1e-12)
 
     def test_uniform_hemisphere_integrates_to_2pi(self):
-        v = zeros_grid()
-        v[:91, :] = 1.0
+        v = np.ones(GRID.shape)
         d = directivity_over_region(grid_of(v), -90.0, 90.0, 0.0, phi_band_deg=180.0)
         assert abs(d - 2 * math.pi) / (2 * math.pi) < 1e-3
 
     def test_additivity_is_exact(self):
         rng = np.random.default_rng(5)
-        fg = grid_of(rng.random((180, 360)))
+        fg = grid_of(rng.random(GRID.shape))
         whole = directivity_over_region(fg, 10.0, 40.0, 0.0)
         left = directivity_over_region(fg, 10.0, 23.0, 0.0)
         right = directivity_over_region(fg, 23.0, 40.0, 0.0)
@@ -153,7 +154,7 @@ class TestNmse:
 
     def test_grid_mismatch(self):
         fg = lobe_field()
-        other = FieldGrid(values=np.zeros((90, 180), dtype=complex),
+        other = FieldGrid(values=np.zeros((46, 180), dtype=complex),
                           grid=GridSpec(theta_step_deg=2.0, phi_step_deg=2.0))
         with pytest.raises(GridMismatch):
             nmse(fg, other)
@@ -161,6 +162,41 @@ class TestNmse:
     def test_all_zero_rejected(self):
         with pytest.raises(AllZeroField):
             nmse(grid_of(zeros_grid()), lobe_field())
+
+    @staticmethod
+    def sphere_nmse(reference: FieldGrid, achieved: FieldGrid) -> float:
+        """np.mean over the full theta 0..180 sphere, the back zero-padded:
+        NMSE as it was defined while fields held the back hemisphere."""
+        grid = reference.grid
+        n_theta = grid.sphere_points // grid.shape[1]
+
+        def normalized(fg):
+            mags = np.zeros((n_theta, grid.shape[1]))
+            mags[: grid.shape[0]] = fg.magnitude()
+            return mags / mags.max()
+
+        diff = normalized(reference) - normalized(achieved)
+        return float(np.mean(diff * diff))
+
+    @pytest.mark.parametrize("step", [1.0, 2.0, 180 / 7])
+    @pytest.mark.parametrize("kind", ["kernel", "random"])
+    def test_equals_the_mean_over_the_zero_padded_sphere(self, kind, step):
+        grid = GridSpec(step, step)
+        rng = np.random.default_rng(round(step * 7))
+        if kind == "kernel":
+            surf, _ = build_surface(load_unit_cell("S3"), 24, 24)
+            ev = FieldEvaluator(surf, SourceModel.point((0.0, -0.2, 0.6)), grid)
+            reference = ev.field(steering_config(surf, 30.0, 20.0))
+            pairs = [(reference,
+                      ev.field(ConfigMatrix(states=rng.integers(0, surf.cell.n_states, (24, 24)))))
+                     for _ in range(3)]
+        else:
+            pairs = [tuple(FieldGrid(values=rng.normal(size=grid.shape)
+                                     + 1j * rng.normal(size=grid.shape), grid=grid)
+                           for _ in range(2)) for _ in range(3)]
+        for reference, achieved in pairs:
+            assert nmse(reference, achieved) == pytest.approx(
+                self.sphere_nmse(reference, achieved), rel=1e-15, abs=0.0)
 
 
 class TestDetectLobes:

@@ -40,6 +40,7 @@ SEARCH_DIGESTS = {
     4: "9e8681150cbc6061",  # direction blocks: this case's 256 directions fit one block
     5: "9e8681150cbc6061",  # ranking in stacks: the same bits here on OpenBLAS SkylakeX
     6: "b51ee30055f44208",  # whole-array breeding draws, compact genes, complex64 ranker weights
+    7: "0e6a3ea6b2218d8f",  # front-hemisphere fields: NMSE over the front, divided by the sphere
 }
 
 
@@ -84,17 +85,14 @@ class TestGAParams:
 
 
 OBJECTIVE_CASES = [
-    pytest.param(src, group_size, GridSpec(2.0, 2.0), None, id=f"{kind}-{group_size}")
+    pytest.param(src, group_size, GridSpec(2.0, 2.0), id=f"{kind}-{group_size}")
     for kind, src in (("point", SourceModel.point((0.01, -0.02, 0.3))),
                       ("planewave", SourceModel.planewave(1.0, 10.0, 30.0)))
     for group_size in (1, 2)
 ] + [
     # 45 phi columns: no 180 - phi column, so the kernel folds only phi -> 360 - phi
-    pytest.param(SourceModel.planewave(1.0, 10.0, 30.0), 1, GridSpec(10.0, 8.0), None,
+    pytest.param(SourceModel.planewave(1.0, 10.0, 30.0), 1, GridSpec(10.0, 8.0),
                  id="planewave-1-phi45"),
-    # target power behind the surface, which no configuration can radiate
-    pytest.param(SourceModel.planewave(1.0, 10.0, 30.0), 2, GridSpec(2.0, 2.0), 0.3,
-                 id="planewave-2-back"),
 ]
 
 # Stated bound of the float32 search score against the public fitness.  On
@@ -128,28 +126,19 @@ class TestFitness:
         f2 = fitness(flipped, target, surf, PW)
         assert np.isclose(f1, f2, atol=1e-12)
 
-    @pytest.mark.parametrize("src, group_size, grid, back_value", OBJECTIVE_CASES)
-    def test_objective_equals_public_fitness_exactly(self, src, group_size, grid, back_value):
+    @pytest.mark.parametrize("src, group_size, grid", OBJECTIVE_CASES)
+    def test_objective_equals_public_fitness_exactly(self, src, group_size, grid):
         surf, _ = build_surface(load_unit_cell("S3"), 8, 8, group_size)
         target = ideal_target_field(load_benchmark("B8"), grid)
-        if back_value is not None:
-            values = target.values.copy()
-            values[grid.front_rows, 0] = back_value
-            target = FieldGrid(values=values, grid=grid)
         res = run_ga(surf, src, target, GAParams(population=8, generations=4, seed=group_size))
         assert res.best_fitness == fitness(res.best_config, target, surf, src)
         rendered = FieldEvaluator(surf, src, grid).field(res.best_config)
         assert np.array_equal(res.best_field.values, rendered.values)
 
-    @pytest.mark.parametrize("src, group_size, grid, back_value", OBJECTIVE_CASES)
-    def test_rank_is_within_stated_tolerance_of_public_fitness(self, src, group_size, grid,
-                                                               back_value):
+    @pytest.mark.parametrize("src, group_size, grid", OBJECTIVE_CASES)
+    def test_rank_is_within_stated_tolerance_of_public_fitness(self, src, group_size, grid):
         surf, _ = build_surface(load_unit_cell("S3"), 8, 8, group_size)
         target = ideal_target_field(load_benchmark("B8"), grid)
-        if back_value is not None:
-            values = target.values.copy()
-            values[grid.front_rows, 0] = back_value
-            target = FieldGrid(values=values, grid=grid)
         objective = _Objective(surf, src, target)
         rng = np.random.default_rng(group_size)
         chromos = rng.integers(0, surf.cell.n_states, size=(16, surf.n_groups))
