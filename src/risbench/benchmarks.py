@@ -197,7 +197,7 @@ def reference_pattern(
     configuration is cached, as the one file ``cache/ref/<stem>.config.csv``
     keyed by (benchmark id, source kind, seed) plus a hash of the beams, the
     reference cell, the tool version, the search revision, the source, the
-    grid and the GA parameters; an entry that does not load is recomputed.
+    grid and the GA budget; an entry that does not load is recomputed.
     A miss returns the GA's own field of the winner, and a hit computes the
     field from the configuration with an evaluator built from the same
     surface, source and grid, so both return the same bits.  A miss runs the

@@ -61,9 +61,7 @@ RUN_CONFIG = {
     "source": {"kind": _string, "amplitude": json_number, "incidence_deg": _floats(2),
                "position_m": _floats(3)},
     "grid": {"theta_step_deg": json_number, "phi_step_deg": json_number},
-    "ga": {"population": json_integer, "generations": json_integer,
-           "crossover_prob": json_number, "mutation_prob_per_gene": _optional(json_number),
-           "elitism": json_integer, "tournament_size": json_integer, "seed": json_integer},
+    "ga": {"population": json_integer, "generations": json_integer, "seed": json_integer},
     "control": {"pins_k": json_integer, "tau_s": json_number, "diode_power_w": json_number},
 }
 

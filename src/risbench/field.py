@@ -208,15 +208,14 @@ def band_columns(grid: GridSpec, plane_deg: float, band_deg: float = PHI_BAND_DE
 def principal_columns(grid: GridSpec) -> tuple[int, int]:
     """Indices of the phi = 0 and phi = 180 columns the principal cut reads.
 
-    Raises ``GridMissingPlane`` if the grid lacks either.
+    The phi step is 360 / n_phi, so phi = 0 is column 0 and phi = 180 is
+    column n_phi / 2, which exists only when n_phi is even: an odd count
+    raises ``GridMissingPlane``.
     """
-    cols = []
-    for plane in (0.0, 180.0):
-        hits = np.nonzero(phi_distance(grid.phi_deg(), plane) < 1e-9)[0]
-        if hits.size == 0:
-            raise GridMissingPlane(f"grid has no phi = {plane} column")
-        cols.append(int(hits[0]))
-    return cols[0], cols[1]
+    n_phi = grid.shape[1]
+    if n_phi % 2:
+        raise GridMissingPlane("grid has no phi = 180.0 column")
+    return 0, n_phi // 2
 
 
 def peak_magnitude(values: np.ndarray) -> float:

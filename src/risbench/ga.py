@@ -38,6 +38,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -63,35 +64,25 @@ SEARCH_REVISION = 7
 
 @dataclass(frozen=True)
 class GAParams:
-    """Search knobs; the stopping rule is a fixed generation budget."""
+    """The search's budget and seed; the stopping rule is a fixed generation
+    budget.  Breeding is fixed: its settings are class constants, not fields."""
 
     population: int = 100
     generations: int = 350
-    crossover_prob: float = 0.9
-    mutation_prob_per_gene: float | None = None  # default 1 / chromosome length
-    elitism: int = 2
-    tournament_size: int = 2
     seed: int = 42
+    elitism: ClassVar[int] = 2
+    tournament_size: ClassVar[int] = 2
+    crossover_prob: ClassVar[float] = 0.9
+    mutations_per_chromosome: ClassVar[float] = 1.0  # expected; a gene mutates w.p. this / genes
 
     def __post_init__(self):
-        if self.population < 2:
-            raise NonPositiveParam(f"population must be >= 2, got {self.population}")
+        if self.population <= self.elitism:
+            raise NonPositiveParam(
+                f"population must exceed elitism {self.elitism}, got {self.population}")
         if self.generations < 1:
             raise NonPositiveParam(f"generations must be >= 1, got {self.generations}")
-        if not 0 <= self.elitism < self.population:
-            raise NonPositiveParam(
-                f"elitism must lie in [0, population), got {self.elitism}"
-            )
-        # breeding draws children x 2 x tournament_size entrants at once
-        if not 1 <= self.tournament_size <= self.population:
-            raise NonPositiveParam(f"tournament_size must lie in [1, population], "
-                                   f"got {self.tournament_size}")
         if self.seed < 0:
             raise NonPositiveParam(f"seed must be >= 0, got {self.seed}")
-        for name, p in (("crossover_prob", self.crossover_prob),
-                        ("mutation_prob_per_gene", self.mutation_prob_per_gene)):
-            if p is not None and not 0.0 <= p <= 1.0:
-                raise NonPositiveParam(f"{name} must lie in [0, 1], got {p}")
 
 
 @dataclass(frozen=True)
@@ -130,23 +121,26 @@ class _Objective:
         return -energy / self.target.grid.sphere_points
 
 
-def _breed(rng: np.random.Generator, pop: np.ndarray, fits: np.ndarray, params: GAParams,
-           p_mut: float, n_states: int) -> np.ndarray:
-    """One generation's ``population - elitism`` children, of ``pop``'s dtype.
+def _breed(rng: np.random.Generator, pop: np.ndarray, fits: np.ndarray,
+           n_states: int) -> np.ndarray:
+    """One generation's ``len(pop) - elitism`` children, of ``pop``'s dtype.
 
     Each draw covers the whole generation.  Two tournaments per child, each
     won by the first of its fittest entrants.  A child takes each gene from
     its first parent where a fair coin says so or when it does not cross
     over, else from its second.  Then each gene mutates to a uniform state
-    with probability ``p_mut``: the mutated genes are drawn as a
-    Binomial(genes, p_mut) count of distinct positions, the same law as one
-    coin per gene but without a random number per gene.
+    with probability ``p_mut``, ``GAParams.mutations_per_chromosome / genes``:
+    the mutated genes are drawn as a Binomial(genes, p_mut) count of distinct
+    positions, the same law as one coin per gene but without a random number
+    per gene.
     """
-    n_children, n_genes = params.population - params.elitism, pop.shape[1]
-    entrants = rng.integers(0, params.population, size=(n_children, 2, params.tournament_size))
+    population, n_genes = pop.shape
+    n_children = population - GAParams.elitism
+    p_mut = GAParams.mutations_per_chromosome / n_genes
+    entrants = rng.integers(0, population, size=(n_children, 2, GAParams.tournament_size))
     winners = np.argmax(fits[entrants], axis=2)[..., None]
     parents = np.take_along_axis(entrants, winners, axis=2)[..., 0]
-    cross = rng.random(n_children) < params.crossover_prob
+    cross = rng.random(n_children) < GAParams.crossover_prob
     first = rng.integers(0, 2, size=(n_children, n_genes), dtype=bool) | ~cross[:, None]
     a, b = pop[parents[:, 0]], pop[parents[:, 1]]
     children = b ^ ((a ^ b) * first)  # np.where(first, a, b) without its branches
@@ -175,8 +169,6 @@ def run_ga(surface: SurfaceSpec, src: SourceModel, target: FieldGrid,
     objective = _Objective(surface, src, target)
     n_genes = surface.n_groups
     n_states = surface.cell.n_states
-    p_mut = (params.mutation_prob_per_gene
-             if params.mutation_prob_per_gene is not None else 1.0 / n_genes)
 
     size = objective._ranker.stack_size
     with ThreadPoolExecutor(threads - 1) if threads > 1 else nullcontext() as pool:
@@ -205,7 +197,7 @@ def run_ga(surface: SurfaceSpec, src: SourceModel, target: FieldGrid,
         history = []
         for _ in range(params.generations):
             elites = np.argsort(-fits, kind="stable")[: params.elitism]
-            children = _breed(rng, pop, fits, params, p_mut, n_states)
+            children = _breed(rng, pop, fits, n_states)
             # scoring draws nothing, so it follows breeding; the objective is
             # pure, so a chromosome already in the population or already
             # bred this generation keeps one score

@@ -213,8 +213,7 @@ class TestReferencePattern:
     @pytest.mark.parametrize(
         "name", [f.name for f in dataclasses.fields(GAParams) if f.name != "seed"])
     def test_every_ga_parameter_keys_the_cache(self, tmp_path, name):
-        changed = {"population": 9, "generations": 4, "crossover_prob": 0.5,
-                   "mutation_prob_per_gene": 0.1, "elitism": 1, "tournament_size": 3}
+        changed = {"population": 9, "generations": 4}
         bm = load_benchmark("B1")
         grid = GridSpec(theta_step_deg=5.0, phi_step_deg=5.0)
         for params in (TINY_GA, dataclasses.replace(TINY_GA, **{name: changed[name]})):

@@ -21,6 +21,7 @@ from risbench.field import (
     GridSpec,
     SourceModel,
     peak_magnitude,
+    principal_columns,
     principal_cut,
     radiation_factor,
     read_field_csv,
@@ -460,6 +461,18 @@ class TestPrincipalCut:
         cut = principal_cut(fg)
         np.testing.assert_allclose(cut.magnitude, cut.magnitude[::-1], rtol=1e-10)
 
+    @pytest.mark.parametrize("n_phi", [1, 2, 3, 4, 180, 337, 360])
+    def test_principal_columns_from_the_column_count(self, n_phi):
+        grid = GridSpec(theta_step_deg=10.0, phi_step_deg=360.0 / n_phi)
+        if n_phi % 2:
+            with pytest.raises(GridMissingPlane, match="phi = 180.0"):
+                principal_columns(grid)
+        else:
+            col0, col180 = principal_columns(grid)
+            assert (col0, col180) == (0, n_phi // 2)
+            assert grid.phi_deg()[col0] == 0.0
+            assert abs(grid.phi_deg()[col180] - 180.0) < 1e-9
+
     def test_grid_without_180_column(self):
         # phi step of 8 deg divides 360 but never lands on 180
         grid = GridSpec(theta_step_deg=4.0, phi_step_deg=8.0)
@@ -608,7 +621,7 @@ class TestFieldCsv:
 
     @pytest.mark.parametrize("value", [1e-300, complex(-0.0, 0.0), complex(0.0, -0.0)],
                              ids=["nonzero", "neg_zero_re", "neg_zero_im"])
-    def test_back_not_all_positive_zero_is_written_in_full(self, tmp_path, value):
+    def test_signed_value_on_the_theta_90_row_keeps_its_bytes_and_sign(self, tmp_path, value):
         # The last row is theta = 90, the edge of the front hemisphere.
         surf, _ = build_surface(ideal_cell(), 8, 8)
         fg = FieldEvaluator(surf, PW, GridSpec(2.0, 2.0)).field(steering_config(surf, 25.0))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import threading
@@ -74,14 +75,16 @@ class TestGAParams:
             GAParams(population=1)
 
     def test_elitism_below_population(self):
-        with pytest.raises(NonPositiveParam):
-            GAParams(population=4, elitism=4)
+        # The two elites leave at least one child per generation.
+        with pytest.raises(NonPositiveParam, match="elitism"):
+            GAParams(population=2)
+        GAParams(population=3)
 
-    @pytest.mark.parametrize("size", [0, 5, 100_000_000])
-    def test_tournament_size_within_population(self, size):
-        with pytest.raises(NonPositiveParam, match="tournament_size"):
-            GAParams(population=4, tournament_size=size)
-        GAParams(population=4, tournament_size=4)
+    def test_fields_are_the_budget_and_seed(self):
+        assert [f.name for f in dataclasses.fields(GAParams)] == [
+            "population", "generations", "seed"]
+        with pytest.raises(TypeError):
+            GAParams(elitism=1)
 
 
 OBJECTIVE_CASES = [
@@ -176,7 +179,7 @@ class TestRunGa:
     def test_never_below_initial_best(self):
         surf, _ = build_surface(one_bit_cell(), 2, 2)
         target = reachable_target(surf, [[0, 0], [1, 1]])
-        params = GAParams(population=6, generations=1, seed=99, elitism=2)
+        params = GAParams(population=6, generations=1, seed=99)
         res = run_ga(surf, PW, target, params)
         rng = np.random.default_rng(99)
         init = rng.integers(0, 2, size=(6, 4), dtype=np.int64)
@@ -212,21 +215,23 @@ class TestRunGa:
                 tracemalloc.stop()
         assert peaks[300] - peaks[30] < 1_000_000
 
-    def test_child_equal_to_a_parent_keeps_its_score(self):
+    def test_child_equal_to_a_parent_keeps_its_score(self, monkeypatch):
         # Without crossover or mutation every child copies a parent, so only
         # the initial population is ever scored.
+        monkeypatch.setattr(GAParams, "crossover_prob", 0.0)
+        monkeypatch.setattr(GAParams, "mutations_per_chromosome", 0.0)
         surf, _ = build_surface(one_bit_cell(), 2, 3)
         target = reachable_target(surf, [[0, 1, 0], [1, 0, 1]])
-        params = GAParams(population=8, generations=5, crossover_prob=0.0,
-                          mutation_prob_per_gene=0.0, seed=4)
+        params = GAParams(population=8, generations=5, seed=4)
         assert run_ga(surf, PW, target, params).evaluations == 8
 
-    def test_without_crossover_or_mutation_each_child_is_a_parent(self):
+    def test_without_crossover_or_mutation_each_child_is_a_parent(self, monkeypatch):
+        monkeypatch.setattr(GAParams, "crossover_prob", 0.0)
+        monkeypatch.setattr(GAParams, "mutations_per_chromosome", 0.0)
         rng = np.random.default_rng(6)
         pop = rng.integers(0, 4, size=(8, 30)).astype(np.uint8)
         fits = rng.random(8)
-        params = GAParams(population=8, crossover_prob=0.0, mutation_prob_per_gene=0.0)
-        children = _breed(rng, pop, fits, params, 0.0, 4)
+        children = _breed(rng, pop, fits, 4)
         assert children.shape == (6, 30) and children.dtype == np.uint8
         assert all((pop == child).all(axis=1).any() for child in children)
 
