@@ -94,7 +94,8 @@ BAD_CONFIGS = {
     "ga.mutation_prob_per_gene": (
         "optimize", lambda doc, tmp: doc["ga"].update(mutation_prob_per_gene=None)),
     "ga.elitism": ("optimize", lambda doc, tmp: doc["ga"].update(elitism=2)),
-    "ga.tournament_size": ("optimize", lambda doc, tmp: doc["ga"].update(tournament_size=2)),
+    "ga.tournament_size_above_population": (
+        "optimize", lambda doc, tmp: doc["ga"].update(tournament_size=100_000_000)),
     "control.pins_k_fraction": ("simulate", lambda doc, tmp: doc.update(control={"pins_k": 8.5})),
     "grid.theta_step_bool": (
         "simulate", lambda doc, tmp: doc["grid"].update(theta_step_deg=True)),

@@ -621,8 +621,10 @@ class TestFieldCsv:
 
     @pytest.mark.parametrize("value", [1e-300, complex(-0.0, 0.0), complex(0.0, -0.0)],
                              ids=["nonzero", "neg_zero_re", "neg_zero_im"])
-    def test_signed_value_on_the_theta_90_row_keeps_its_bytes_and_sign(self, tmp_path, value):
-        # The last row is theta = 90, the edge of the front hemisphere.
+    def test_back_not_all_positive_zero_is_written_in_full(self, tmp_path, value):
+        # The name predates the front-hemisphere grid: the test writes a signed
+        # value on the last row, theta = 90, the edge of the front hemisphere,
+        # and checks the written bytes and the sign bits read back.
         surf, _ = build_surface(ideal_cell(), 8, 8)
         fg = FieldEvaluator(surf, PW, GridSpec(2.0, 2.0)).field(steering_config(surf, 25.0))
         values = fg.values.copy()
